@@ -157,13 +157,21 @@ DetectionMetrics evaluate_detector(Network& net, const DetectionDataset& ds,
 Int8Calibration calibrate_int8(Network& net, std::span<const Image> images,
                                const EvalConfig& config) {
     if (images.empty()) throw std::invalid_argument("calibrate_int8: no images");
-    net.set_batch(static_cast<int>(images.size()));
+    // One batch-1 sample per image: the ranges are elementwise maxima, so
+    // they equal a single batch-N pass exactly, without growing the network's
+    // grow-only activation storage to N items for the rest of its life.
+    const int batch = net.input_shape().n;
+    net.set_batch(1);
     const Shape in = net.input_shape();
-    Tensor input(in);
-    for (std::size_t b = 0; b < images.size(); ++b) {
-        (void)preprocess_image(images[b], in, config, input, static_cast<int>(b));
+    std::vector<Tensor> samples;
+    samples.reserve(images.size());
+    for (const Image& image : images) {
+        samples.emplace_back(in);
+        (void)preprocess_image(image, in, config, samples.back(), 0);
     }
-    return QuantizedNetwork::calibrate(net, std::span<const Tensor>(&input, 1));
+    Int8Calibration calib = QuantizedNetwork::calibrate(net, samples);
+    net.set_batch(batch);
+    return calib;
 }
 
 }  // namespace dronet

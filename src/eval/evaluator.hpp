@@ -84,10 +84,10 @@ struct DetectStageTimings {
                                                  QuantizedNetwork* int8 = nullptr);
 
 /// Int8 calibration over real imagery: letterboxes/resizes `images` exactly
-/// as the detect path would (one batch-N tensor, one float forward) and
-/// records per-conv-layer activation ranges. Re-batches `net` to
-/// images.size(). This is the preferred calibration source; pass the result
-/// to QuantizedNetwork's two-argument constructor.
+/// as the detect path would (one batch-1 float forward per image) and records
+/// per-conv-layer activation ranges — exactly the ranges of one batch-N pass.
+/// Leaves `net` at its incoming batch size. This is the preferred calibration
+/// source; pass the result to QuantizedNetwork's two-argument constructor.
 [[nodiscard]] Int8Calibration calibrate_int8(Network& net, std::span<const Image> images,
                                              const EvalConfig& config = {});
 

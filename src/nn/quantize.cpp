@@ -5,10 +5,11 @@
 #include <stdexcept>
 #include <string>
 
+#include "nn/activation.hpp"
+#include "simd/kernels.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/gemm_i8.hpp"
 #include "tensor/im2col.hpp"
-#include "tensor/ops.hpp"
 #include "tensor/rng.hpp"
 
 namespace dronet {
@@ -27,6 +28,11 @@ namespace {
     const Shape& in = conv.input_shape();
     return ConvGeometry{in.c, in.h, in.w, qc.config.ksize, qc.config.stride,
                         qc.config.pad};
+}
+
+/// A 1x1/s1/p0 conv's col matrix is its input tensor: no lowering needed.
+[[nodiscard]] bool is_pointwise(const QuantizedConv& qc) noexcept {
+    return qc.config.ksize == 1 && qc.config.stride == 1 && qc.config.pad == 0;
 }
 
 }  // namespace
@@ -153,22 +159,28 @@ QuantizedNetwork::QuantizedNetwork(Network& net)
     : QuantizedNetwork(net, self_calibrate(net)) {}
 
 void QuantizedNetwork::ensure_scratch() {
+    std::size_t in_need = 0;
     std::size_t col_need = 0;
     std::size_t acc_need = 0;
     for (std::size_t qi = 0; qi < quantized_.size(); ++qi) {
         const QuantizedConv& qc = quantized_[qi];
         const ConvGeometry geo = live_geometry(qc, *convs_[qi]);
         const auto cols = static_cast<std::size_t>(geo.col_cols());
-        col_need = std::max(col_need, static_cast<std::size_t>(geo.col_rows()) * cols);
+        in_need = std::max(in_need, static_cast<std::size_t>(geo.channels) *
+                                        geo.height * geo.width);
+        if (!is_pointwise(qc)) {
+            col_need = std::max(col_need, static_cast<std::size_t>(geo.col_rows()) * cols);
+        }
         acc_need = std::max(acc_need, static_cast<std::size_t>(qc.config.filters) * cols);
     }
-    if (col_need <= col_i8_.size() && acc_need <= acc_.size()) return;
-    ++scratch_grows_;
-    if (col_need > col_i8_.size()) {
-        col_i8_.resize(col_need);
-        col_f32_.resize(col_need);
+    if (in_need <= in_i8_.size() && col_need <= col_i8_.size() &&
+        acc_need <= acc_.size()) {
+        return;
     }
-    if (acc_need > acc_.size()) acc_.resize(acc_need);
+    ++scratch_grows_;
+    in_i8_.resize(std::max(in_need, in_i8_.size()));
+    col_i8_.resize(std::max(col_need, col_i8_.size()));
+    acc_.resize(std::max(acc_need, acc_.size()));
 }
 
 void QuantizedNetwork::forward_quantized_conv(const QuantizedConv& qc,
@@ -177,32 +189,34 @@ void QuantizedNetwork::forward_quantized_conv(const QuantizedConv& qc,
     const ConvGeometry geo = live_geometry(qc, conv);
     const int out_hw = geo.col_cols();
     const int col_rows = geo.col_rows();
-    const std::int64_t col_size = static_cast<std::int64_t>(col_rows) * out_hw;
-    const bool is_1x1 = qc.config.ksize == 1 && qc.config.stride == 1 && qc.config.pad == 0;
+    const std::int64_t in_chw = input.shape().chw();
+    const simd::KernelTable& kt = simd::kernels();
     for (int b = 0; b < input.shape().n; ++b) {
-        const float* in_b = input.data() + static_cast<std::int64_t>(b) * input.shape().chw();
+        const float* in_b = input.data() + static_cast<std::int64_t>(b) * in_chw;
         float* out_b = output.data() + static_cast<std::int64_t>(b) * conv.output_shape().chw();
-        // Lower to the col matrix (float), then quantize with the layer's
-        // static calibrated scale — no per-frame range sweep.
-        const float* col_f = in_b;
-        if (!is_1x1) {
-            im2col_mt(in_b, geo, col_f32_.data(), gemm_threads());
-            col_f = col_f32_.data();
+        // Quantize the input tensor once with the layer's static calibrated
+        // scale, then lower it in int8. im2col only copies or writes 0, and
+        // 0 quantizes to 0, so this is exactly the quantized float col
+        // matrix at 1/k^2 of the quantize work.
+        kt.quantize_row(in_b, static_cast<std::size_t>(in_chw), qc.input_scale,
+                        in_i8_.data());
+        const std::int8_t* col = in_i8_.data();
+        if (!is_pointwise(qc)) {
+            im2col_mt(in_i8_.data(), geo, col_i8_.data(), gemm_threads());
+            col = col_i8_.data();
         }
-        quantize_buffer(col_f, col_size, qc.input_scale, col_i8_.data());
-        gemm_i8(qc.config.filters, out_hw, col_rows, qc.weights.data(), col_rows,
-                col_i8_.data(), out_hw, acc_.data(), out_hw);
-        // Fused requantize epilogue: dequantize + bias + activation in one
-        // pass with the precomputed per-channel multiplier.
+        gemm_i8(qc.config.filters, out_hw, col_rows, qc.weights.data(), col_rows, col,
+                out_hw, acc_.data(), out_hw);
+        // Requantize epilogue: dequantize + bias with the precomputed
+        // per-channel multiplier, then the activation row kernel.
         for (int f = 0; f < qc.config.filters; ++f) {
-            const float scale = qc.requant[static_cast<std::size_t>(f)];
-            const float bias = qc.biases[static_cast<std::size_t>(f)];
-            const std::int32_t* arow = acc_.data() + static_cast<std::int64_t>(f) * out_hw;
+            const auto fi = static_cast<std::size_t>(f);
             float* orow = out_b + static_cast<std::int64_t>(f) * out_hw;
-            for (int j = 0; j < out_hw; ++j) {
-                orow[j] = activate(qc.config.activation,
-                                   static_cast<float>(arow[j]) * scale + bias);
-            }
+            kt.requant_row(acc_.data() + static_cast<std::int64_t>(f) * out_hw,
+                           static_cast<std::size_t>(out_hw), qc.requant[fi],
+                           qc.biases[fi], orow);
+            apply_activation(qc.config.activation,
+                             std::span<float>(orow, static_cast<std::size_t>(out_hw)));
         }
     }
 }

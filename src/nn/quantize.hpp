@@ -7,13 +7,17 @@
 // and region layers (negligible compute) stay in float, as does the detection
 // decode, so accuracy loss is isolated to the conv arithmetic.
 //
-// Calibration replaces the old dynamic per-tensor scheme (a full
-// quantization_scale + quantize_buffer sweep of every col matrix, every
-// layer, every frame): a calibration pass runs float forwards over a sample
-// set and records each conv layer's input activation range. Because im2col
-// only copies or zero-pads, max|col matrix| == max|input tensor|, so the
-// recorded input maximum IS the col-matrix maximum and the baked scale is
-// exact, not approximate.
+// Activation scales are static: a calibration pass runs float forwards over a
+// sample set and records each conv layer's input activation range, so no
+// frame ever sweeps its data for a range. Each quantized conv then quantizes
+// its input tensor once (C x H x W elements, one simd quantize_row pass) and
+// lowers the int8 tensor with the int8 im2col. im2col only copies or writes
+// 0, and 0 quantizes to 0, so that col matrix is byte-identical to
+// quantizing the k^2-times-larger float col matrix element by element — and
+// max|col matrix| == max|input tensor| makes the recorded input maximum
+// exactly the range the GEMM sees. After the int8 GEMM (4-row register
+// tiles), the simd requant_row kernel dequantizes and adds the bias, and the
+// activation row kernel finishes the epilogue.
 //
 // The quantized forward is batch- and size-flexible: geometry derives
 // per-call from the source layer's live input shape (so Network::set_batch
@@ -116,7 +120,7 @@ class QuantizedNetwork {
     [[nodiscard]] std::size_t weight_bytes() const noexcept;
     [[nodiscard]] std::size_t float_weight_bytes() const noexcept;
 
-    /// Times the scratch buffers (col/acc) have grown since construction.
+    /// Times the scratch buffers (input/col/acc) have grown since construction.
     /// Stays 0 across forwards at construction-time-or-smaller geometry —
     /// the serving tier's allocation-free guarantee (grow-only, PR 4).
     [[nodiscard]] std::int64_t scratch_grows() const noexcept { return scratch_grows_; }
@@ -133,8 +137,8 @@ class QuantizedNetwork {
     std::vector<QuantizedConv> quantized_;  ///< one per conv layer, in order
     std::vector<const ConvolutionalLayer*> convs_;  ///< parallel to quantized_
     // Per-item scratch reused across layers and batch items (grow-only).
-    std::vector<std::int8_t> col_i8_;
-    std::vector<float> col_f32_;
+    std::vector<std::int8_t> in_i8_;   ///< the conv input, quantized once
+    std::vector<std::int8_t> col_i8_;  ///< its int8 im2col lowering
     std::vector<std::int32_t> acc_;
     std::int64_t scratch_grows_ = 0;
 };

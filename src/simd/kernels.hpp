@@ -1,5 +1,6 @@
 // Dispatched kernel entry points backing the hot paths (tensor/gemm,
-// tensor/im2col, tensor/ops, nn/activation, image/resize, nn fp16 storage).
+// tensor/gemm_i8, tensor/im2col, tensor/ops, nn/activation, nn/quantize,
+// image/resize, nn fp16 storage).
 //
 // Callers fetch the active table once per call site via kernels() — one
 // atomic acquire load — and invoke plain function pointers. The scalar table
@@ -12,8 +13,16 @@
 //     levels — results are bitwise equal regardless of dispatch.
 //   * gemm_micro_4x16 is null on the scalar table (the caller keeps its
 //     reference loop); the AVX2 entry uses FMA and is tolerance-gated.
-//   * gemm_i8_row is pure integer arithmetic — results are bitwise identical
-//     across levels (memcmp-gated in test_quantize).
+//   * gemm_i8_row / gemm_i8_4rows are pure integer arithmetic — results are
+//     bitwise identical across levels (memcmp-gated in test_quantize).
+//   * quantize_row evaluates clamp(round(x / scale), -127, 127) with a true
+//     IEEE divide and round-half-away-from-zero (AVX2: trunc, |q - trunc| >=
+//     0.5 test, sign-adjusted +1 — exact because q - trunc(q) is exact), and
+//     defines NaN -> 0 at every level: bitwise identical across levels for
+//     every input, including ties, -0.0, denormals, +-Inf and NaN.
+//   * requant_row evaluates float(acc) * requant + bias as a separate multiply
+//     and add (the simd library builds with -ffp-contract=off, so neither
+//     level fuses them): bitwise identical across levels.
 //   * floats_to_halfs / halfs_to_floats agree bitwise across levels for all
 //     finite values and infinities (RTNE both ways); NaN payloads may differ.
 #pragma once
@@ -45,6 +54,21 @@ struct KernelTable {
     /// bitwise identical across levels. Overflow-safe for k < 2^16.
     void (*gemm_i8_row)(const std::int8_t* a_row, const std::int8_t* b,
                         std::int64_t ldb, int k, int n, std::int32_t* c_row);
+    /// Four consecutive output rows of the int8 GEMM (overwrites):
+    /// c[r*ldc + j] = sum_p a[r*lda + p] * b[p*ldb + j], r in [0, 4), j in
+    /// [0, n). The same integers as four gemm_i8_row calls; the AVX2 level
+    /// widens each B row pair once for all four rows.
+    void (*gemm_i8_4rows)(const std::int8_t* a, std::int64_t lda,
+                          const std::int8_t* b, std::int64_t ldb, int k, int n,
+                          std::int32_t* c, std::int64_t ldc);
+    /// dst[i] = clamp(round(src[i] / scale), -127, 127), round half away from
+    /// zero, NaN -> 0 — the symmetric int8 quantizer.
+    void (*quantize_row)(const float* src, std::size_t n, float scale,
+                         std::int8_t* dst);
+    /// dst[i] = float(acc[i]) * requant + bias — the int8 conv's dequantize
+    /// epilogue (activation runs after, through leaky_relu / relu).
+    void (*requant_row)(const std::int32_t* acc, std::size_t n, float requant,
+                        float bias, float* dst);
 };
 
 /// The table for the active dispatch level (dispatch.hpp).

@@ -108,6 +108,125 @@ void gemm_i8_row_avx2(const std::int8_t* a_row, const std::int8_t* b,
     }
 }
 
+/// Four int8 GEMM output rows over a 4 x 16 register tile: each B row pair
+/// is byte-interleaved and widened to int16 once, then madd-folded against
+/// all four rows' broadcast (a[r][p], a[r][p+1]) pairs — 8 int32
+/// accumulators, a quarter of gemm_i8_row's widening work per MAC. The A
+/// pairs are pre-packed on the stack (so each broadcast is one load); k
+/// beyond that buffer falls back to four gemm_i8_row calls, as does the
+/// n%16 column tail. Integer math: bitwise identical to the scalar
+/// reference.
+void gemm_i8_4rows_avx2(const std::int8_t* a, std::int64_t lda,
+                        const std::int8_t* b, std::int64_t ldb, int k, int n,
+                        std::int32_t* c, std::int64_t ldc) {
+    constexpr int kMaxK = 1024;
+    if (k > kMaxK) {
+        for (int r = 0; r < 4; ++r) {
+            gemm_i8_row_avx2(a + r * lda, b, ldb, k, n, c + r * ldc);
+        }
+        return;
+    }
+    const int pairs = (k + 1) / 2;
+    std::int32_t apair[kMaxK / 2][4];
+    for (int q = 0; q < pairs; ++q) {
+        for (int r = 0; r < 4; ++r) {
+            const std::int8_t* arow = a + r * lda;
+            const std::int32_t a0 = arow[2 * q];
+            const std::int32_t a1 = 2 * q + 1 < k ? arow[2 * q + 1] : 0;
+            apair[q][r] = (a1 << 16) | (a0 & 0xFFFF);
+        }
+    }
+    int j = 0;
+    for (; j + 16 <= n; j += 16) {
+        __m256i c0l = _mm256_setzero_si256(), c0h = _mm256_setzero_si256();
+        __m256i c1l = _mm256_setzero_si256(), c1h = _mm256_setzero_si256();
+        __m256i c2l = _mm256_setzero_si256(), c2h = _mm256_setzero_si256();
+        __m256i c3l = _mm256_setzero_si256(), c3h = _mm256_setzero_si256();
+        const std::int8_t* bp = b + j;
+        for (int q = 0; q < pairs; ++q, bp += 2 * ldb) {
+            const __m128i b0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(bp));
+            const __m128i b1 =
+                2 * q + 1 < k
+                    ? _mm_loadu_si128(reinterpret_cast<const __m128i*>(bp + ldb))
+                    : _mm_setzero_si128();
+            const __m256i wlo = _mm256_cvtepi8_epi16(_mm_unpacklo_epi8(b0, b1));
+            const __m256i whi = _mm256_cvtepi8_epi16(_mm_unpackhi_epi8(b0, b1));
+            const __m256i p0 = _mm256_set1_epi32(apair[q][0]);
+            const __m256i p1 = _mm256_set1_epi32(apair[q][1]);
+            const __m256i p2 = _mm256_set1_epi32(apair[q][2]);
+            const __m256i p3 = _mm256_set1_epi32(apair[q][3]);
+            c0l = _mm256_add_epi32(c0l, _mm256_madd_epi16(wlo, p0));
+            c0h = _mm256_add_epi32(c0h, _mm256_madd_epi16(whi, p0));
+            c1l = _mm256_add_epi32(c1l, _mm256_madd_epi16(wlo, p1));
+            c1h = _mm256_add_epi32(c1h, _mm256_madd_epi16(whi, p1));
+            c2l = _mm256_add_epi32(c2l, _mm256_madd_epi16(wlo, p2));
+            c2h = _mm256_add_epi32(c2h, _mm256_madd_epi16(whi, p2));
+            c3l = _mm256_add_epi32(c3l, _mm256_madd_epi16(wlo, p3));
+            c3h = _mm256_add_epi32(c3h, _mm256_madd_epi16(whi, p3));
+        }
+        const __m256i tile[4][2] = {{c0l, c0h}, {c1l, c1h}, {c2l, c2h}, {c3l, c3h}};
+        for (int r = 0; r < 4; ++r) {
+            std::int32_t* cp = c + r * ldc + j;
+            _mm256_storeu_si256(reinterpret_cast<__m256i*>(cp), tile[r][0]);
+            _mm256_storeu_si256(reinterpret_cast<__m256i*>(cp + 8), tile[r][1]);
+        }
+    }
+    for (int r = 0; r < 4 && j < n; ++r) {
+        gemm_i8_row_avx2(a + r * lda, b + j, ldb, k, n - j, c + r * ldc + j);
+    }
+}
+
+/// clamp(round(x / scale), -127, 127) on 8 lanes, as int32. Round half away
+/// from zero is rebuilt exactly from trunc: q - trunc(q) is exact in float,
+/// so |q - trunc(q)| >= 0.5 picks the lanes std::round moves one step away
+/// from zero. NaN lanes are zeroed before the clamp (the NaN -> 0 contract);
+/// +-Inf clamps like any large value.
+__m256i quantize8(__m256 x, __m256 scale) {
+    const __m256 sign = _mm256_set1_ps(-0.0f);
+    const __m256 q = _mm256_div_ps(x, scale);
+    const __m256 t = _mm256_round_ps(q, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+    const __m256 frac = _mm256_andnot_ps(sign, _mm256_sub_ps(q, t));
+    const __m256 step = _mm256_and_ps(
+        _mm256_cmp_ps(frac, _mm256_set1_ps(0.5f), _CMP_GE_OQ), _mm256_set1_ps(1.0f));
+    __m256 r = _mm256_add_ps(t, _mm256_or_ps(step, _mm256_and_ps(q, sign)));
+    r = _mm256_and_ps(r, _mm256_cmp_ps(q, q, _CMP_ORD_Q));
+    r = _mm256_min_ps(_mm256_max_ps(r, _mm256_set1_ps(-127.0f)),
+                      _mm256_set1_ps(127.0f));
+    return _mm256_cvtps_epi32(r);
+}
+
+void quantize_row_avx2(const float* src, std::size_t n, float scale,
+                       std::int8_t* dst) {
+    const __m256 vs = _mm256_set1_ps(scale);
+    // packs interleave 128-bit lanes; this permute restores element order.
+    const __m256i order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+    std::size_t i = 0;
+    for (; i + 32 <= n; i += 32) {
+        const __m256i q0 = quantize8(_mm256_loadu_ps(src + i), vs);
+        const __m256i q1 = quantize8(_mm256_loadu_ps(src + i + 8), vs);
+        const __m256i q2 = quantize8(_mm256_loadu_ps(src + i + 16), vs);
+        const __m256i q3 = quantize8(_mm256_loadu_ps(src + i + 24), vs);
+        const __m256i bytes = _mm256_packs_epi16(_mm256_packs_epi32(q0, q1),
+                                                 _mm256_packs_epi32(q2, q3));
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
+                            _mm256_permutevar8x32_epi32(bytes, order));
+    }
+    for (; i < n; ++i) dst[i] = impl::quantize_one(src[i], scale);
+}
+
+void requant_row_avx2(const std::int32_t* acc, std::size_t n, float requant,
+                      float bias, float* dst) {
+    const __m256 vr = _mm256_set1_ps(requant);
+    const __m256 vb = _mm256_set1_ps(bias);
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m256 v = _mm256_cvtepi32_ps(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i)));
+        _mm256_storeu_ps(dst + i, _mm256_add_ps(_mm256_mul_ps(v, vr), vb));
+    }
+    for (; i < n; ++i) dst[i] = impl::requant_one(acc[i], requant, bias);
+}
+
 void floats_to_halfs_f16c(const float* src, std::uint16_t* dst, std::size_t n) {
     std::size_t i = 0;
     for (; i + 8 <= n; i += 8) {
@@ -141,6 +260,9 @@ constexpr KernelTable kAvx2Table = {
     halfs_to_floats_f16c,
     gemm_micro_4x16_fma,
     gemm_i8_row_avx2,
+    gemm_i8_4rows_avx2,
+    quantize_row_avx2,
+    requant_row_avx2,
 };
 
 }  // namespace

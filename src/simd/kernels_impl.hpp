@@ -5,9 +5,27 @@
 // bitwise-identical to the plain scalar loops they replaced.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 namespace dronet::simd::impl {
+
+/// The int8 quantizer's per-element reference: every level's quantize_row
+/// (and its tail) evaluates exactly this. NaN maps to 0 — casting a NaN to an
+/// integer is undefined behaviour.
+inline std::int8_t quantize_one(float x, float scale) noexcept {
+    const float q = std::round(x / scale);
+    if (std::isnan(q)) return 0;
+    return static_cast<std::int8_t>(std::clamp(q, -127.0f, 127.0f));
+}
+
+/// The requantize epilogue's per-element reference: multiply, then add, each
+/// rounded (the library builds with -ffp-contract=off).
+inline float requant_one(std::int32_t acc, float requant, float bias) noexcept {
+    return static_cast<float>(acc) * requant + bias;
+}
 
 template <class V>
 void copy_row(float* dst, const float* src, std::size_t n) {

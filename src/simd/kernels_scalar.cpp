@@ -33,6 +33,24 @@ void gemm_i8_row_scalar(const std::int8_t* a_row, const std::int8_t* b,
     }
 }
 
+void gemm_i8_4rows_scalar(const std::int8_t* a, std::int64_t lda,
+                          const std::int8_t* b, std::int64_t ldb, int k, int n,
+                          std::int32_t* c, std::int64_t ldc) {
+    for (int r = 0; r < 4; ++r) {
+        gemm_i8_row_scalar(a + r * lda, b, ldb, k, n, c + r * ldc);
+    }
+}
+
+void quantize_row_scalar(const float* src, std::size_t n, float scale,
+                         std::int8_t* dst) {
+    for (std::size_t i = 0; i < n; ++i) dst[i] = impl::quantize_one(src[i], scale);
+}
+
+void requant_row_scalar(const std::int32_t* acc, std::size_t n, float requant,
+                        float bias, float* dst) {
+    for (std::size_t i = 0; i < n; ++i) dst[i] = impl::requant_one(acc[i], requant, bias);
+}
+
 constexpr KernelTable kScalarTable = {
     impl::copy_row<VecScalar>,
     impl::add_bias_row<VecScalar>,
@@ -45,6 +63,9 @@ constexpr KernelTable kScalarTable = {
     halfs_to_floats_scalar,
     nullptr,  // gemm_micro_4x16: scalar level keeps the reference loop
     gemm_i8_row_scalar,
+    gemm_i8_4rows_scalar,
+    quantize_row_scalar,
+    requant_row_scalar,
 };
 
 }  // namespace

@@ -12,15 +12,19 @@ namespace dronet {
 
 /// C[m x n] = A[m x k] * B[k x n], int8 inputs, int32 accumulator/output.
 /// ldX are row strides. Overflow-safe for k < 2^16 (worst case |a*b| <= 2^14
-/// per term). Rows are sharded on the persistent ThreadPool when
-/// set_gemm_threads() > 1; results are identical (integer math, each row
-/// written by exactly one thread). The per-row inner loop dispatches through
-/// the simd kernel table (scalar reference / AVX2 madd-paired) — bitwise
-/// identical across levels.
+/// per term). Columns are sharded on the persistent ThreadPool, in whole
+/// 16-column tiles, when set_gemm_threads() > 1 (m is a filter count, often
+/// smaller than the thread count times 4); results are identical (integer
+/// math, each C element written by exactly one thread). Rows run in 4-row
+/// tiles (simd gemm_i8_4rows) with the m % 4 rows through gemm_i8_row —
+/// bitwise identical across dispatch levels.
 void gemm_i8(int m, int n, int k, const std::int8_t* a, int lda,
              const std::int8_t* b, int ldb, std::int32_t* c, int ldc);
 
-/// Symmetric quantization helpers: q = clamp(round(x / scale), -127, 127).
+/// Symmetric quantization helpers: q = clamp(round(x / scale), -127, 127),
+/// rounding half away from zero; NaN quantizes to 0. quantize_value is the
+/// scalar reference, quantize_buffer the dispatched simd quantize_row —
+/// bitwise identical for every input.
 [[nodiscard]] std::int8_t quantize_value(float x, float scale) noexcept;
 
 /// Largest-magnitude-based scale for a buffer (returns a scale such that
@@ -31,7 +35,8 @@ void gemm_i8(int m, int n, int k, const std::int8_t* a, int lda,
 /// the first non-finite element instead.
 [[nodiscard]] float quantization_scale(const float* x, std::int64_t n);
 
-/// Quantizes `n` floats into `out` with the given scale.
+/// Quantizes `n` floats into `out` with the given scale (quantize_value per
+/// element).
 void quantize_buffer(const float* x, std::int64_t n, float scale, std::int8_t* out) noexcept;
 
 }  // namespace dronet

@@ -5,6 +5,8 @@
 // operation used by the backward pass during training.
 #pragma once
 
+#include <cstdint>
+
 namespace dronet {
 
 struct ConvGeometry {
@@ -37,6 +39,11 @@ void im2col(const float* im, const ConvGeometry& geo, float* col);
 /// layers pass set_gemm_threads() here so one knob controls both lowering
 /// and GEMM parallelism.
 void im2col_mt(const float* im, const ConvGeometry& geo, float* col, int ways);
+
+/// The same lowering over int8 data (the quantized conv path lowers its
+/// already-quantized input; padding taps read as 0).
+void im2col_mt(const std::int8_t* im, const ConvGeometry& geo, std::int8_t* col,
+               int ways);
 
 /// Adjoint of im2col: accumulates `col` back into `im` (im must be
 /// pre-initialized; contributions are added, matching gradient semantics).

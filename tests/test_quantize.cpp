@@ -1,6 +1,9 @@
 // INT8 quantization path (§V future-work extension): int8 GEMM correctness
-// and cross-SIMD-level bit-exactness, quantization helpers (including the
-// non-finite-input regression), calibrated QuantizedNetwork behavior across
+// and cross-SIMD-level bit-exactness (row kernel and 4-row tile, threaded),
+// quantize_row / requant_row cross-level memcmp, quantization helpers
+// (including the non-finite-input regressions), the quantize-once int8
+// lowering against the float-col reference, per-image calibration against a
+// batch-N pass, calibrated QuantizedNetwork behavior across
 // batch sizes and input resolutions (allocation-free, bit-stable per item),
 // fuzzed degenerate weights through calibration, the int8 serving tier, and
 // the pretrained-checkpoint accuracy gate against fp32.
@@ -13,6 +16,7 @@
 #include <cstring>
 #include <future>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "analysis/numerics.hpp"
@@ -24,8 +28,10 @@
 #include "nn/quantize.hpp"
 #include "serve/detection_service.hpp"
 #include "simd/dispatch.hpp"
+#include "simd/kernels.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/gemm_i8.hpp"
+#include "tensor/im2col.hpp"
 #include "tensor/rng.hpp"
 
 namespace dronet {
@@ -34,6 +40,30 @@ namespace {
 using serve::DetectionService;
 using serve::ServeResult;
 using serve::ServeStatus;
+
+/// The kernel tables this host can run: scalar always, AVX2 when built in and
+/// supported. Integer and quantize kernels must agree bitwise across them.
+std::vector<const simd::KernelTable*> runnable_tables() {
+    std::vector<const simd::KernelTable*> tables = {simd::scalar_kernel_table()};
+    if (simd::cpu_supports_avx2() && simd::avx2_kernel_table() != nullptr) {
+        tables.push_back(simd::avx2_kernel_table());
+    }
+    return tables;
+}
+
+std::vector<std::int8_t> random_i8(Rng& rng, std::size_t n) {
+    std::vector<std::int8_t> v(n);
+    for (auto& x : v) x = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
+    return v;
+}
+
+/// The pre-SIMD quantizer, kept as the oracle: std::round (half away from
+/// zero), clamp, and the NaN -> 0 definition.
+std::int8_t reference_quantize(float x, float scale) {
+    const float q = std::round(x / scale);
+    if (std::isnan(q)) return 0;
+    return static_cast<std::int8_t>(std::clamp(q, -127.0f, 127.0f));
+}
 
 TEST(GemmI8, MatchesIntegerReference) {
     Rng rng(3);
@@ -66,32 +96,65 @@ TEST(GemmI8, OverwritesOutput) {
 
 TEST(GemmI8, BitExactAcrossSimdLevels) {
     // Integer kernels are memcmp-identical across dispatch levels (unlike the
-    // tolerance-gated float FMA kernels). Shapes deliberately hit the AVX2
-    // kernel's odd-k pairing and the n % 16 scalar column tail.
-    if (!simd::cpu_supports_avx2()) {
-        GTEST_SKIP() << "CPU/build lacks AVX2; only one level to test";
-    }
+    // tolerance-gated float FMA kernels) and thread counts. Shapes hit the
+    // 4-row tile's m % 4 leftover rows (row kernel), the n % 16 column tail,
+    // odd-k pairing, n = 300 across the 256-column cache block, and k = 1100
+    // past the tile's stack-packed A limit (four row-kernel calls). Threaded
+    // runs shard columns in 16-wide tiles.
     Rng rng(21);
+    const int saved_threads = gemm_threads();
     for (const auto [m, n, k] : {std::array<int, 3>{4, 37, 13},
                                  std::array<int, 3>{3, 16, 8},
-                                 std::array<int, 3>{7, 61, 27}}) {
-        std::vector<std::int8_t> a(static_cast<std::size_t>(m) * k);
-        std::vector<std::int8_t> b(static_cast<std::size_t>(k) * n);
-        for (auto& v : a) v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
-        for (auto& v : b) v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
-        std::vector<std::int32_t> c_scalar(static_cast<std::size_t>(m) * n, -1);
-        std::vector<std::int32_t> c_avx2(static_cast<std::size_t>(m) * n, -2);
-        {
-            const simd::ScopedSimdLevel pin(simd::SimdLevel::kScalar);
-            gemm_i8(m, n, k, a.data(), k, b.data(), n, c_scalar.data(), n);
+                                 std::array<int, 3>{7, 61, 27},
+                                 std::array<int, 3>{4, 16, 1},
+                                 std::array<int, 3>{5, 17, 3},
+                                 std::array<int, 3>{6, 33, 27},
+                                 std::array<int, 3>{8, 300, 9},
+                                 std::array<int, 3>{13, 64, 45},
+                                 std::array<int, 3>{9, 40, 1100}}) {
+        const auto a = random_i8(rng, static_cast<std::size_t>(m) * k);
+        const auto b = random_i8(rng, static_cast<std::size_t>(k) * n);
+        std::vector<std::int32_t> want(static_cast<std::size_t>(m) * n, 0);
+        for (int i = 0; i < m; ++i) {
+            for (int p = 0; p < k; ++p) {
+                for (int j = 0; j < n; ++j) {
+                    want[static_cast<std::size_t>(i) * n + j] +=
+                        static_cast<std::int32_t>(a[static_cast<std::size_t>(i) * k + p]) *
+                        static_cast<std::int32_t>(b[static_cast<std::size_t>(p) * n + j]);
+                }
+            }
         }
-        {
-            const simd::ScopedSimdLevel pin(simd::SimdLevel::kAvx2);
-            gemm_i8(m, n, k, a.data(), k, b.data(), n, c_avx2.data(), n);
+        for (const simd::SimdLevel level : {simd::SimdLevel::kScalar, simd::SimdLevel::kAvx2}) {
+            const simd::ScopedSimdLevel pin(level);
+            for (const int threads : {1, 3}) {
+                set_gemm_threads(threads);
+                std::vector<std::int32_t> c(want.size(), -7);
+                gemm_i8(m, n, k, a.data(), k, b.data(), n, c.data(), n);
+                EXPECT_EQ(0, std::memcmp(c.data(), want.data(), c.size() * sizeof(std::int32_t)))
+                    << m << "x" << n << "x" << k << " " << simd::to_string(simd::active_level())
+                    << " threads " << threads;
+            }
         }
-        EXPECT_EQ(0, std::memcmp(c_scalar.data(), c_avx2.data(),
-                                 c_scalar.size() * sizeof(std::int32_t)))
-            << m << "x" << n << "x" << k;
+    }
+    set_gemm_threads(saved_threads);
+}
+
+TEST(GemmI8, FourRowKernelHonorsStrides) {
+    // Direct table calls with lda > k and ldc > n: the tile must read and
+    // write only its 4 x n window of a wider matrix.
+    Rng rng(0x57d);
+    const int k = 11, n = 37, lda = 16, ldb = 40, ldc = 45;
+    const auto a = random_i8(rng, static_cast<std::size_t>(4) * lda);
+    const auto b = random_i8(rng, static_cast<std::size_t>(k) * ldb);
+    std::vector<std::int32_t> want(static_cast<std::size_t>(4) * ldc, -3);
+    for (int r = 0; r < 4; ++r) {
+        simd::scalar_kernel_table()->gemm_i8_row(a.data() + r * lda, b.data(), ldb, k, n,
+                                                 want.data() + r * ldc);
+    }
+    for (const simd::KernelTable* kt : runnable_tables()) {
+        std::vector<std::int32_t> c(want.size(), -3);
+        kt->gemm_i8_4rows(a.data(), lda, b.data(), ldb, k, n, c.data(), ldc);
+        EXPECT_EQ(0, std::memcmp(c.data(), want.data(), c.size() * sizeof(std::int32_t)));
     }
 }
 
@@ -144,6 +207,91 @@ TEST(Quantization, NonFiniteYieldsFiniteScaleWithoutChecks) {
     const float s = quantization_scale(with_inf.data(), 2);
     EXPECT_TRUE(std::isfinite(s));
     EXPECT_FLOAT_EQ(s, FLT_MAX / 127.0f);
+}
+
+TEST(Quantization, NanQuantizesToZero) {
+    // Regression: std::clamp passes NaN through, and casting NaN to int8 is
+    // undefined behaviour. NaN is now defined to quantize to 0, in the scalar
+    // reference and in every level's quantize_row (body lanes and tail).
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    EXPECT_EQ(quantize_value(nan, 1.0f), 0);
+    EXPECT_EQ(quantize_value(-nan, 0.25f), 0);
+    std::vector<float> x(40, nan);
+    x[3] = 5.0f;
+    for (const simd::KernelTable* kt : runnable_tables()) {
+        std::vector<std::int8_t> q(x.size(), 99);
+        kt->quantize_row(x.data(), x.size(), 1.0f, q.data());
+        for (std::size_t i = 0; i < q.size(); ++i) {
+            EXPECT_EQ(q[i], i == 3 ? 5 : 0) << "element " << i;
+        }
+    }
+}
+
+TEST(Quantization, QuantizeRowBitExactAcrossLevels) {
+    // Ties round away from zero (the AVX2 level rebuilds std::round from
+    // trunc + a |frac| >= 0.5 test), the +-127 clamp, -0.0, denormals, huge
+    // values, infinities and NaN — placed in both the 32-wide vector body and
+    // the scalar tail, at several scales.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const float denorm = std::numeric_limits<float>::denorm_min();
+    std::vector<float> x = {0.5f,    -0.5f,   1.5f,    -1.5f,   2.5f,   -2.5f,
+                            126.5f,  -126.5f, 127.5f,  -127.5f, 0.49999997f,
+                            -0.49999997f,     -0.0f,   0.0f,    denorm, -denorm,
+                            1e-40f,  -1e-40f, 1.17e-38f,        1e9f,   -1e9f,
+                            inf,     -inf,    nan,     8388607.5f, -8388608.0f,
+                            3.0f,    -3.0f,   0.7f,    -0.7f,   200.0f, -200.0f};
+    Rng rng(0x9a7);
+    for (int i = 0; i < 200; ++i) x.push_back(rng.uniform(-300.0f, 300.0f));
+    for (int i = 0; i < 64; ++i) {
+        x.push_back(static_cast<float>(rng.uniform_int(-260, 260)) * 0.5f);  // ties
+    }
+    const std::vector<float> edges(x.begin(), x.begin() + 32);
+    x.insert(x.end(), edges.begin(), edges.begin() + 19);  // edges in the tail
+    for (const float scale : {1.0f, 0.5f, 1.0f / 127.0f, 3.0f, 1e-30f}) {
+        std::vector<std::int8_t> want(x.size());
+        for (std::size_t i = 0; i < x.size(); ++i) want[i] = reference_quantize(x[i], scale);
+        for (const simd::KernelTable* kt : runnable_tables()) {
+            std::vector<std::int8_t> got(x.size(), 55);
+            kt->quantize_row(x.data(), x.size(), scale, got.data());
+            for (std::size_t i = 0; i < x.size(); ++i) {
+                ASSERT_EQ(got[i], want[i])
+                    << "x=" << x[i] << " scale=" << scale << " element " << i;
+            }
+        }
+    }
+    EXPECT_EQ(reference_quantize(0.5f, 1.0f), 1);
+    EXPECT_EQ(reference_quantize(-126.5f, 1.0f), -127);
+    EXPECT_EQ(reference_quantize(127.5f, 1.0f), 127);
+}
+
+TEST(Quantization, RequantRowBitExactAcrossLevels) {
+    // float(acc) * requant + bias (two roundings) followed by the activation
+    // row kernels must reproduce the scalar activate() epilogue bitwise for
+    // leaky, relu and linear, at every level. Accumulators above 2^24 also
+    // exercise the int32 -> float conversion's rounding.
+    Rng rng(0x4e9);
+    std::vector<std::int32_t> acc = {0, 1, -1, 16777217, -16777217, 2147483647,
+                                     -2147483647, 123456789, -98765};
+    for (int i = 0; i < 301; ++i) acc.push_back(rng.uniform_int(-400000, 400000));
+    for (const Activation act : {Activation::kLeaky, Activation::kRelu, Activation::kLinear}) {
+        for (const auto [requant, bias] : {std::array<float, 2>{1.3e-4f, -0.37f},
+                                           std::array<float, 2>{0.0f, 0.0f},
+                                           std::array<float, 2>{-2.5e-5f, 1.25f}}) {
+            std::vector<float> want(acc.size());
+            for (std::size_t i = 0; i < acc.size(); ++i) {
+                want[i] = activate(act, static_cast<float>(acc[i]) * requant + bias);
+            }
+            for (const simd::SimdLevel level : {simd::SimdLevel::kScalar, simd::SimdLevel::kAvx2}) {
+                const simd::ScopedSimdLevel pin(level);
+                std::vector<float> got(acc.size(), -1.0f);
+                simd::kernels().requant_row(acc.data(), acc.size(), requant, bias, got.data());
+                apply_activation(act, got);
+                EXPECT_EQ(0, std::memcmp(got.data(), want.data(), got.size() * sizeof(float)))
+                    << to_string(act) << " at " << simd::to_string(simd::active_level());
+            }
+        }
+    }
 }
 
 TEST(QuantizedNetwork, SnapshotsEveryConvLayer) {
@@ -401,6 +549,123 @@ TEST(QuantizedNetwork, DecodeProducesSameGridOfDetections) {
     q.forward(in);
     const Detections dets = q.decode();
     EXPECT_EQ(dets.size(), 5u * 4 * 4);  // 5 anchors on the 4x4 grid
+}
+
+// ---- quantize-once int8 lowering vs the float-col reference ----------------
+
+struct LoweringCase {
+    const char* name;
+    int channels, height, width, batch;
+    ConvConfig conv;
+};
+
+class QuantizedLowering : public ::testing::TestWithParam<LoweringCase> {};
+
+TEST_P(QuantizedLowering, MatchesFloatColReferenceBitwise) {
+    // The forward quantizes each conv input once and lowers it with the int8
+    // im2col. The reference is the lowering it replaced: float im2col, then
+    // quantize every element of the k^2-larger col matrix, then the scalar
+    // activate() epilogue. The int8 col matrices must be byte-identical and
+    // the layer outputs bitwise equal, item by item.
+    const LoweringCase& lc = GetParam();
+    NetConfig nc;
+    nc.channels = lc.channels;
+    nc.height = lc.height;
+    nc.width = lc.width;
+    nc.batch = lc.batch;
+    nc.seed = 7;
+    Network net(nc);
+    net.add_conv(lc.conv);
+    Tensor in(net.input_shape());
+    Rng rng(0x10a);
+    rng.fill_uniform(in.span(), -1.0f, 1.0f);
+    QuantizedNetwork q(net, QuantizedNetwork::calibrate(net, std::span(&in, 1)));
+    const Tensor out = q.forward(in);
+
+    const QuantizedConv& qc = q.layers().at(0);
+    const ConvGeometry geo{lc.channels, lc.height, lc.width, lc.conv.ksize,
+                           lc.conv.stride, lc.conv.pad};
+    const int rows = geo.col_rows();
+    const int cols = geo.col_cols();
+    const auto col_size = static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
+    const std::int64_t in_chw = in.shape().chw();
+    for (int b = 0; b < lc.batch; ++b) {
+        const float* in_b = in.data() + b * in_chw;
+        std::vector<float> col_f(col_size);
+        im2col(in_b, geo, col_f.data());
+        std::vector<std::int8_t> col_ref(col_size);
+        for (std::size_t i = 0; i < col_size; ++i) {
+            col_ref[i] = reference_quantize(col_f[i], qc.input_scale);
+        }
+
+        std::vector<std::int8_t> in_q(static_cast<std::size_t>(in_chw));
+        quantize_buffer(in_b, in_chw, qc.input_scale, in_q.data());
+        std::vector<std::int8_t> col_new(col_size, 99);
+        im2col_mt(in_q.data(), geo, col_new.data(), 3);
+        ASSERT_EQ(0, std::memcmp(col_new.data(), col_ref.data(), col_size))
+            << lc.name << " item " << b;
+
+        std::vector<std::int32_t> acc(static_cast<std::size_t>(qc.config.filters) * cols);
+        gemm_i8(qc.config.filters, cols, rows, qc.weights.data(), rows, col_ref.data(), cols,
+                acc.data(), cols);
+        const float* out_b = out.data() + b * out.shape().chw();
+        for (int f = 0; f < qc.config.filters; ++f) {
+            for (int j = 0; j < cols; ++j) {
+                const float want = activate(
+                    qc.config.activation,
+                    static_cast<float>(acc[static_cast<std::size_t>(f) * cols + j]) *
+                            qc.requant[static_cast<std::size_t>(f)] +
+                        qc.biases[static_cast<std::size_t>(f)]);
+                const float got = out_b[static_cast<std::int64_t>(f) * cols + j];
+                ASSERT_EQ(0, std::memcmp(&got, &want, sizeof(float)))
+                    << lc.name << " item " << b << " filter " << f << " column " << j;
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, QuantizedLowering,
+    ::testing::Values(
+        LoweringCase{"k3_pad1", 5, 24, 24, 1, {.filters = 7, .ksize = 3, .stride = 1, .pad = 1}},
+        LoweringCase{"k1", 9, 16, 16, 1,
+                     {.filters = 6, .ksize = 1, .stride = 1, .pad = 0,
+                      .activation = Activation::kLinear}},
+        LoweringCase{"k3_stride2", 4, 33, 33, 1,
+                     {.filters = 5, .ksize = 3, .stride = 2, .pad = 1,
+                      .activation = Activation::kRelu}},
+        LoweringCase{"non_square", 3, 20, 13, 1, {.filters = 9, .ksize = 3, .stride = 1, .pad = 1}},
+        LoweringCase{"batch2", 6, 18, 18, 2, {.filters = 8, .ksize = 3, .stride = 1, .pad = 1}}),
+    [](const ::testing::TestParamInfo<LoweringCase>& info) { return std::string(info.param.name); });
+
+TEST(CalibrateInt8, PerImagePassesEqualOneBatchPass) {
+    // calibrate_int8 runs one batch-1 forward per image; the recorded ranges
+    // must equal the former single batch-N pass exactly (elementwise maxima
+    // of bit-identical per-item activations), and the network keeps its
+    // incoming batch size.
+    Network net = build_model(ModelId::kDroNet, {.input_size = 64, .filter_scale = 0.25f});
+    const DetectionDataset frames = generate_dataset(benchmark_scene_config(64), 3, /*seed=*/41);
+    std::vector<Image> images;
+    for (std::size_t i = 0; i < frames.size(); ++i) images.push_back(frames.image(i));
+    ASSERT_EQ(images[0].width(), 64);
+    ASSERT_EQ(images[0].height(), 64);
+
+    const Int8Calibration per_image = calibrate_int8(net, images);
+    EXPECT_EQ(net.input_shape().n, 1);
+
+    net.set_batch(static_cast<int>(images.size()));
+    Tensor batch(net.input_shape());
+    for (std::size_t b = 0; b < images.size(); ++b) {
+        images[b].copy_to_batch(batch, static_cast<int>(b));
+    }
+    const Int8Calibration batched =
+        QuantizedNetwork::calibrate(net, std::span<const Tensor>(&batch, 1));
+    ASSERT_EQ(per_image.max_abs.size(), batched.max_abs.size());
+    for (std::size_t i = 0; i < batched.max_abs.size(); ++i) {
+        EXPECT_EQ(per_image.max_abs[i], batched.max_abs[i]) << "conv " << i;
+    }
+    (void)calibrate_int8(net, images);
+    EXPECT_EQ(net.input_shape().n, static_cast<int>(images.size()));
 }
 
 // ---- int8 serving tier ------------------------------------------------------
