@@ -1,12 +1,11 @@
 // GEMM / convolution-lowering ablation (DESIGN.md §5, knobs 1-2): naive vs
-// blocked vs threaded GEMM on DroNet-shaped problems, spawn-per-call vs
-// persistent-pool sharding, and im2col+GEMM vs direct convolution — the
-// execution strategy darknet (and hence the paper's deployment) relies on.
+// blocked vs threaded GEMM on DroNet-shaped problems, persistent-pool
+// sharding, and im2col+GEMM vs direct convolution — the execution strategy
+// darknet (and hence the paper's deployment) relies on.
 //
-// BM_GemmSpawnLegacy / BM_GemmPooledPacked are the PR-3 acceptance pair:
-// at 512-input DroNet shapes with 4 threads the pooled packed kernel must be
-// >= 1.5x faster than the old spawn-per-call path, and pool_threads_delta
-// must stay 0 across the timed iterations (zero per-call thread creation).
+// BM_GemmPooledPacked must keep pool_threads_delta at 0 across the timed
+// iterations (zero per-call thread creation). The spawn-per-call baseline it
+// replaced is gone; its measured cost stays in docs/performance.md.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -102,31 +101,6 @@ void BM_GemmThreaded(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_GemmThreaded)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
-
-// Old strategy: spawn and join fresh std::threads inside every gemm call
-// (what gemm_threaded did before the persistent pool landed).
-void BM_GemmSpawnLegacy(benchmark::State& state) {
-    const GemmShape s = kDroNetStages512[state.range(0)];
-    std::vector<float> a(static_cast<std::size_t>(s.m) * s.k);
-    std::vector<float> b(static_cast<std::size_t>(s.k) * s.n);
-    std::vector<float> c(static_cast<std::size_t>(s.m) * s.n);
-    fill_random(a, 1);
-    fill_random(b, 2);
-    for (auto _ : state) {
-        gemm_threaded_spawn({false, false, s.m, s.n, s.k, 1.0f, a.data(), s.k,
-                             b.data(), s.n, 0.0f, c.data(), s.n},
-                            4);
-        benchmark::DoNotOptimize(c.data());
-    }
-    state.counters["GFLOP/s"] = benchmark::Counter(
-        static_cast<double>(gemm_flops(s.m, s.n, s.k)) * state.iterations() * 1e-9,
-        benchmark::Counter::kIsRate);
-    // Every iteration spawned 4 threads; surface that cost for contrast with
-    // the pooled variant's delta of 0.
-    state.counters["threads_spawned"] =
-        benchmark::Counter(4.0 * static_cast<double>(state.iterations()));
-}
-BENCHMARK(BM_GemmSpawnLegacy)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
 
 // New strategy: packed 4x16 kernel sharded over the persistent worker pool.
 // pool_threads_delta counts OS threads created during the timed loop — the

@@ -156,19 +156,29 @@ ctest --test-dir build-asan -L reload --output-on-failure 2>&1 \
 
 # Router + worker fleet end to end through serve_bench's cluster mode: two
 # spawned worker processes, --expect-complete exits non-zero if any frame
-# resolved as anything but kOk. Then the loadgen smoke: a scaling sweep with
-# admission knobs engaged that exits non-zero on any abandoned future,
+# resolved as anything but kOk. Then a scaling sweep over fleets of 1 and 2
+# single-thread workers (per-worker in-flight cap 1, one frame in flight per
+# client) that exits non-zero on any future unresolved at the deadline,
 # accounting violation, or incomplete run.
 ./build/tools/serve_bench --cluster 2 --workers 1 --streams 4 \
   --frames-per-stream 8 --size 96 --filter-scale 0.5 --expect-complete 2>&1 \
   | tee cluster_bench_output.txt
-./build/tools/loadgen --workers-list 1,2 --clients 4 --requests 6 --size 96 \
-  --filter-scale 0.5 --expect-complete 2>&1 | tee loadgen_output.txt
-# Worker-kill chaos through loadgen: SIGKILL a worker mid-load; every future
-# must still resolve (retried or shed, never hung) with the accounting
-# identity intact — loadgen exits 2 otherwise.
-./build/tools/loadgen --workers-list 2 --clients 4 --requests 8 --size 96 \
-  --filter-scale 0.5 --kill-after-ms 100 2>&1 | tee loadgen_chaos_output.txt
+./build/tools/serve_bench --cluster 1,2 --workers 1 --inflight-limit 1 \
+  --client-inflight 1 --streams 4 --frames-per-stream 6 --size 96 \
+  --filter-scale 0.5 --expect-complete 2>&1 | tee fleet_sweep_output.txt
+# Admission smoke: per-client in-flight cap and token bucket engaged, so
+# frames are shed kRejected (no --expect-complete) — but every future must
+# still resolve and the fleet accounting identity must hold.
+./build/tools/serve_bench --cluster 2 --workers 1 --streams 4 \
+  --frames-per-stream 8 --size 96 --filter-scale 0.5 --max-inflight 1 \
+  --rate 200 --burst 2 2>&1 | tee fleet_admission_output.txt
+# Worker-kill chaos: SIGKILL a worker mid-load (the streams are paced so the
+# kill lands while they submit); every future must still resolve (retried or
+# shed, never hung) with the accounting identity intact.
+./build/tools/serve_bench --cluster 2 --workers 1 --inflight-limit 1 \
+  --client-inflight 1 --streams 4 --frames-per-stream 8 --size 96 \
+  --filter-scale 0.5 --interval-ms 20 --kill-after-ms 100 2>&1 \
+  | tee fleet_chaos_output.txt
 
 # Model-lifecycle chaos smoke: a corrupt (truncated) candidate checkpoint
 # must be rejected — canary gate, old model byte-identical, zero dropped
@@ -179,12 +189,13 @@ head -c 4096 weights/DroNet.weights > build/corrupt_candidate.weights
   --size 96 --reload build/corrupt_candidate.weights --reload-after-ms 30 \
   --reload-expect-reject --expect-complete 2>&1 \
   | tee reload_reject_output.txt
-# Rolling fleet reload through loadgen: two spawned pretrained workers,
-# hot-swapped one at a time mid-load — the rollout must commit fleet-wide
-# with every future resolving (exit 2 otherwise)...
-./build/tools/loadgen --workers-list 2 --clients 4 --requests 8 --size 96 \
+# Rolling fleet reload: two spawned pretrained workers, hot-swapped one at a
+# time mid-load — the rollout must commit fleet-wide with every future
+# resolving kOk...
+./build/tools/serve_bench --cluster 2 --workers 1 --inflight-limit 1 \
+  --client-inflight 1 --streams 4 --frames-per-stream 8 --size 96 \
   --reload weights/DroNet.weights --reload-after-ms 50 --expect-complete 2>&1 \
-  | tee loadgen_reload_output.txt
+  | tee fleet_reload_output.txt
 # ...and with a worker SIGKILLed mid-rollout the rollout must abort, roll
 # already-reloaded workers back to the old version, and still resolve every
 # future (serve_bench exits non-zero if the aborted rollout reports success

@@ -107,6 +107,10 @@ struct ServeStatsSnapshot {
     StageSummary postprocess;
     StageSummary total;
 
+    /// The accounting invariant above; holds once the service is drained.
+    [[nodiscard]] bool accounting_ok() const noexcept {
+        return submitted == completed + dropped + rejected + failed + deadline_expired;
+    }
     /// One-line JSON object (stable key order) for bench harnesses.
     [[nodiscard]] std::string to_json() const;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "simd/kernels.hpp"
@@ -234,47 +233,6 @@ void packed_rows(const GemmArgs& g, int row_begin, int row_end) {
     }
 }
 
-// ---- legacy kernel (pre-pool baseline, kept for the ablation bench) --------
-
-void legacy_scale_c(const GemmArgs& g, int row_begin, int row_end) {
-    if (g.beta == 1.0f) return;
-    for (int i = row_begin; i < row_end; ++i) {
-        float* row = g.c + static_cast<std::int64_t>(i) * g.ldc;
-        if (g.beta == 0.0f) {
-            std::fill(row, row + g.n, 0.0f);
-        } else {
-            for (int j = 0; j < g.n; ++j) row[j] *= g.beta;
-        }
-    }
-}
-
-void legacy_blocked_rows(const GemmArgs& g, int row_begin, int row_end) {
-    constexpr int kBlockK = 128;
-    constexpr int kBlockJ = 256;
-    legacy_scale_c(g, row_begin, row_end);
-    for (int p0 = 0; p0 < g.k; p0 += kBlockK) {
-        const int p1 = std::min(g.k, p0 + kBlockK);
-        for (int j0 = 0; j0 < g.n; j0 += kBlockJ) {
-            const int j1 = std::min(g.n, j0 + kBlockJ);
-            for (int i = row_begin; i < row_end; ++i) {
-                float* crow = g.c + static_cast<std::int64_t>(i) * g.ldc;
-                for (int p = p0; p < p1; ++p) {
-                    const float a_ip = g.alpha * a_elem(g, i, p);
-                    if (a_ip == 0.0f) continue;
-                    if (!g.trans_b) {
-                        const float* brow = g.b + static_cast<std::int64_t>(p) * g.ldb;
-                        for (int j = j0; j < j1; ++j) crow[j] += a_ip * brow[j];
-                    } else {
-                        for (int j = j0; j < j1; ++j) {
-                            crow[j] += a_ip * g.b[static_cast<std::int64_t>(j) * g.ldb + p];
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 }  // namespace
 
 void gemm_naive(const GemmArgs& g) {
@@ -306,25 +264,6 @@ void gemm_threaded(const GemmArgs& g, int threads) {
     ThreadPool::instance().parallel_for(
         0, g.m, threads, kMr,
         [&g](int lo, int hi) { packed_rows(g, lo, hi); });
-}
-
-void gemm_threaded_spawn(const GemmArgs& g, int threads) {
-    validate(g);
-    threads = std::min(threads, g.m);
-    if (threads <= 1) {
-        legacy_blocked_rows(g, 0, g.m);
-        return;
-    }
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(threads));
-    const int rows_per = (g.m + threads - 1) / threads;
-    for (int t = 0; t < threads; ++t) {
-        const int lo = t * rows_per;
-        const int hi = std::min(g.m, lo + rows_per);
-        if (lo >= hi) break;
-        workers.emplace_back([&g, lo, hi] { legacy_blocked_rows(g, lo, hi); });
-    }
-    for (auto& w : workers) w.join();
 }
 
 void gemm_halfw(int m, int n, int k, const std::uint16_t* a, int lda,

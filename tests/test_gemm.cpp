@@ -113,25 +113,6 @@ TEST_P(GemmAgreement, ThreadedBitExactVsNaive) {
     ASSERT_EQ(std::memcmp(c_ref.data(), c_thr.data(), c_ref.size() * sizeof(float)), 0);
 }
 
-// Legacy spawn-per-call sharding (kept as the ablation baseline) uses the
-// old k-blocked kernel, so it agrees within tolerance, not bitwise.
-TEST_P(GemmAgreement, SpawnLegacyMatchesNaive) {
-    const GemmCase c = GetParam();
-    Rng rng(37);
-    const auto a = c.ta ? random_matrix(rng, c.k, c.m) : random_matrix(rng, c.m, c.k);
-    const auto b = c.tb ? random_matrix(rng, c.n, c.k) : random_matrix(rng, c.k, c.n);
-    auto c_ref = random_matrix(rng, c.m, c.n);
-    auto c_spawn = c_ref;
-    const int lda = c.ta ? c.m : c.k;
-    const int ldb = c.tb ? c.k : c.n;
-    gemm_naive({c.ta, c.tb, c.m, c.n, c.k, c.alpha, a.data(), lda, b.data(), ldb,
-                c.beta, c_ref.data(), c.n});
-    gemm_threaded_spawn({c.ta, c.tb, c.m, c.n, c.k, c.alpha, a.data(), lda, b.data(),
-                         ldb, c.beta, c_spawn.data(), c.n},
-                        3);
-    expect_near(c_ref, c_spawn);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GemmAgreement,
     ::testing::Values(
