@@ -17,15 +17,16 @@ ctest --test-dir build --output-on-failure 2>&1 | tee test_output.txt
 # SIMD dispatch stage (docs/vectorization.md): rerun the kernel-sensitive
 # label with the dispatch level forced from startup, exercising the same
 # from-process-start path a user hits with DRONET_SIMD=... The scalar run
-# must pass everywhere; the avx2 run is gated on host support (the dispatcher
-# would silently downgrade, which would test scalar twice and prove nothing).
+# must pass everywhere; the avx2 run is gated on exactly the features the
+# dispatcher requires, AVX2 and FMA (otherwise it would silently downgrade,
+# which would test scalar twice and prove nothing).
 DRONET_SIMD=scalar ctest --test-dir build -L simd-kernels \
   --output-on-failure 2>&1 | tee simd_scalar_output.txt
-if grep -qw avx2 /proc/cpuinfo; then
+if grep -qw avx2 /proc/cpuinfo && grep -qw fma /proc/cpuinfo; then
   DRONET_SIMD=avx2 ctest --test-dir build -L simd-kernels \
     --output-on-failure 2>&1 | tee simd_avx2_output.txt
 else
-  echo "host CPU lacks AVX2; skipping DRONET_SIMD=avx2 test pass" \
+  echo "host CPU lacks AVX2+FMA; skipping DRONET_SIMD=avx2 test pass" \
     | tee simd_avx2_output.txt
 fi
 

@@ -14,6 +14,9 @@ namespace {
 // comment); decoding bounds-checks every consume so a corrupt or truncated
 // payload becomes a clean runtime_error, never an out-of-bounds read.
 
+/// One Detection on the wire: box x/y/w/h, objectness, class_prob, class_id.
+constexpr std::size_t kDetectionWireBytes = 6 * sizeof(float) + sizeof(std::int32_t);
+
 template <typename T>
 void put(std::vector<std::uint8_t>& buf, const T& v) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -57,6 +60,8 @@ class Cursor {
         pos_ += len;
         return s;
     }
+
+    [[nodiscard]] std::size_t remaining() const noexcept { return buf_.size() - pos_; }
 
     void expect_consumed(const char* what) const {
         if (pos_ != buf_.size()) {
@@ -183,6 +188,10 @@ Image decode_detect_request(const std::vector<std::uint8_t>& payload) {
     if (w <= 0 || h <= 0 || ch <= 0) {
         throw std::runtime_error("protocol: detect-request with empty geometry");
     }
+    // Checked before allocating: the header alone may claim ~51 GB of pixels.
+    if (c.remaining() != static_cast<std::size_t>(w) * h * ch * sizeof(float)) {
+        throw std::runtime_error("protocol: detect-request pixel bytes do not match geometry");
+    }
     Image img(w, h, ch);
     c.take_bytes(img.data(), img.size() * sizeof(float), "detect-request pixels");
     c.expect_consumed("detect-request");
@@ -191,7 +200,7 @@ Image decode_detect_request(const std::vector<std::uint8_t>& payload) {
 
 std::vector<std::uint8_t> encode_detect_response(const WireDetectResult& r) {
     std::vector<std::uint8_t> buf;
-    buf.reserve(64 + r.detections.size() * 28 + r.error.size());
+    buf.reserve(64 + r.detections.size() * kDetectionWireBytes + r.error.size());
     put(buf, static_cast<std::uint8_t>(r.status));
     put(buf, std::uint8_t{0});
     put(buf, std::uint16_t{0});
@@ -230,6 +239,10 @@ WireDetectResult decode_detect_response(const std::vector<std::uint8_t>& payload
     r.timings.forward_ms = c.take<double>("detect-response");
     r.timings.postprocess_ms = c.take<double>("detect-response");
     const auto n = c.take<std::uint32_t>("detect-response");
+    // Checked before reserving: n comes off the wire and may be 2^32 - 1.
+    if (n > c.remaining() / kDetectionWireBytes) {
+        throw std::runtime_error("protocol: detect-response detection count exceeds payload");
+    }
     r.detections.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
         Detection d;

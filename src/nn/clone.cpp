@@ -48,8 +48,6 @@ Network clone_network(const Network& src) {
     if (const RegionLayer* from_head = src.region()) {
         dst.region()->set_seen(from_head->seen());
     }
-    // After the weight copy, so the clone's halves encode the copied floats.
-    if (src.fp16()) dst.set_fp16(true);
     return dst;
 }
 

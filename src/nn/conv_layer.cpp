@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "nn/network.hpp"
-#include "simd/half.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 
@@ -118,10 +117,6 @@ void ConvolutionalLayer::forward(const Tensor& input, Network& net, bool train) 
     if (input.shape() != input_shape_) {
         throw std::invalid_argument("ConvolutionalLayer::forward: shape mismatch");
     }
-    if (train && fp16_storage()) {
-        throw std::logic_error(
-            "ConvolutionalLayer::forward: fp16 storage is inference-only");
-    }
     const int out_hw = static_cast<int>(output_shape_.hw());
     const int col_rows = geo_.col_rows();
     const bool is_1x1 = config_.ksize == 1 && config_.stride == 1 && config_.pad == 0;
@@ -134,21 +129,13 @@ void ConvolutionalLayer::forward(const Tensor& input, Network& net, bool train) 
             im2col_mt(in_b, geo_, ws, gemm_threads());
             col = ws;
         }
-        if (fp16_storage()) {
-            gemm_halfw(config_.filters, out_hw, col_rows, weights_h_.data(),
-                       col_rows, col, out_hw, out_b, out_hw);
-        } else {
-            gemm(false, false, config_.filters, out_hw, col_rows, 1.0f,
-                 weights_.v.data(), col_rows, col, out_hw, 0.0f, out_b, out_hw);
-        }
+        gemm(false, false, config_.filters, out_hw, col_rows, 1.0f,
+             weights_.v.data(), col_rows, col, out_hw, 0.0f, out_b, out_hw);
     }
     if (config_.batch_normalize) batchnorm_forward(train);
     add_channel_bias(output_.span(), biases_.v, output_shape_.n, output_shape_.c,
                      static_cast<int>(output_shape_.hw()));
     apply_activation(config_.activation, output_.span());
-    // Half activation storage: round the layer output through fp16 precision,
-    // exactly what writing halves and re-widening for the next layer costs.
-    if (fp16_storage()) simd::fp16_round_trip(output_.span());
 }
 
 void ConvolutionalLayer::batchnorm_backward() {
@@ -244,17 +231,6 @@ void ConvolutionalLayer::fold_batchnorm() {
     rolling_mean_.clear();
     rolling_variance_.clear();
     x_norm_ = Tensor();
-    // Folding rewrote the float weights; refresh the half copies.
-    if (fp16_storage()) set_fp16_storage(true);
-}
-
-void ConvolutionalLayer::set_fp16_storage(bool on) {
-    if (!on) {
-        weights_h_.clear();
-        return;
-    }
-    weights_h_.resize(weights_.size());
-    simd::floats_to_halfs(weights_.v.data(), weights_h_.data(), weights_.size());
 }
 
 void ConvolutionalLayer::forward_direct(const Tensor& input, Tensor& out) const {

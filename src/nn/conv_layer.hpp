@@ -58,15 +58,6 @@ class ConvolutionalLayer final : public Layer {
     /// im2col-vs-direct ablation bench.
     void forward_direct(const Tensor& input, Tensor& out) const;
 
-    /// Inference-only IEEE binary16 storage mode. When on, weights are
-    /// re-encoded as halves from the CURRENT float values (call after loading
-    /// weights / fold_batchnorm — both re-encode automatically thereafter),
-    /// forward runs gemm_halfw on them, and the layer output is rounded
-    /// through fp16 precision to model half activation storage. Training
-    /// through an fp16 layer throws. Tolerances: docs/vectorization.md.
-    void set_fp16_storage(bool on);
-    [[nodiscard]] bool fp16_storage() const noexcept { return !weights_h_.empty(); }
-
   private:
     void batchnorm_forward(bool train);
     void batchnorm_backward();
@@ -75,7 +66,6 @@ class ConvolutionalLayer final : public Layer {
     ConvGeometry geo_;
 
     Param weights_;
-    std::vector<std::uint16_t> weights_h_;  ///< fp16 weight storage (empty = off)
     Param biases_;   ///< beta when batch-normalized, plain bias otherwise
     Param scales_;   ///< gamma (batch-norm only)
     std::vector<float> rolling_mean_;

@@ -238,13 +238,4 @@ void Network::fold_batchnorm() {
     }
 }
 
-void Network::set_fp16(bool on) {
-    fp16_ = on;
-    for (auto& l : layers_) {
-        if (auto* conv = dynamic_cast<ConvolutionalLayer*>(l.get())) {
-            conv->set_fp16_storage(on);
-        }
-    }
-}
-
 }  // namespace dronet

@@ -110,13 +110,6 @@ class Network {
     /// Folds batch-norm into conv weights across all layers (inference only).
     void fold_batchnorm();
 
-    /// Switches every conv layer to IEEE binary16 weight + activation storage
-    /// (inference only; training a half network throws). Call after weights
-    /// are loaded — enabling re-encodes halves from the current floats.
-    /// Accuracy impact and tolerances: docs/vectorization.md.
-    void set_fp16(bool on);
-    [[nodiscard]] bool fp16() const noexcept { return fp16_; }
-
     [[nodiscard]] NetConfig& config() noexcept { return config_; }
     [[nodiscard]] const NetConfig& config() const noexcept { return config_; }
     [[nodiscard]] Rng& rng() noexcept { return rng_; }
@@ -150,7 +143,6 @@ class Network {
     std::vector<std::unique_ptr<Layer>> layers_;
     std::vector<float> workspace_;
     Tensor input_copy_;  ///< retained for backward()
-    bool fp16_ = false;
     std::int64_t batch_num_ = 0;
     std::unique_ptr<profile::ForwardProfiler> profiler_;
 };

@@ -68,10 +68,6 @@ DetectionService::DetectionService(const Network& prototype, ServiceConfig confi
     if (prototype.region() == nullptr) {
         throw std::invalid_argument("DetectionService: network has no region layer");
     }
-    if (config_.int8 && prototype.fp16()) {
-        throw std::invalid_argument(
-            "DetectionService: int8 and fp16 modes are mutually exclusive");
-    }
     if (config_.canary_max_divergence <= 0 || config_.reload_probation_ms < 0 ||
         config_.reload_rollback_failures <= 0) {
         throw std::invalid_argument("DetectionService: bad model-lifecycle knob");
@@ -645,14 +641,11 @@ ReloadOutcome DetectionService::reload_checkpoint(
     Network& reference = *live->reference;
     try {
         Network candidate = clone_network(reference);
-        const bool fp16 = candidate.fp16();
         // load_weights pre-checks the exact byte size (truncated or padded
         // files are rejected before any state changes) and restores every
-        // parameter block, so the fp16 re-encode below sees the new floats.
-        if (fp16) candidate.set_fp16(false);
+        // parameter block.
         DRONET_FAULT_POINT(fault::kSiteReloadRead);
         load_weights(candidate, weights);
-        if (fp16) candidate.set_fp16(true);
         run_canary(candidate, reference);
         auto set = build_model_set(std::move(candidate));
         {

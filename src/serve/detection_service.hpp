@@ -121,8 +121,7 @@ struct ServiceConfig {
     /// computed once at construction (clones have identical weights, so the
     /// activation ranges — and therefore detections — are identical across
     /// replicas). Micro-batching and degraded-input switching work unchanged:
-    /// the quantized forward follows the replica's live geometry. Mutually
-    /// exclusive with an fp16 prototype.
+    /// the quantized forward follows the replica's live geometry.
     bool int8 = false;
     /// Supervisor thread that respawns dead workers (replica preserved) and
     /// counts the restart in ServeStats. Leave on unless the process manages
@@ -207,12 +206,12 @@ class DetectionService {
     /// dropping a single in-flight future. Runs entirely on the calling
     /// thread (never a worker thread): a candidate network is cloned from
     /// the live model's architecture, the checkpoint is loaded (exact
-    /// byte-size pre-check, fp16 re-encode / int8 re-calibration per the
-    /// active mode), and a canary gate — deterministic synthetic forwards
-    /// checked for finite outputs and bounded divergence vs the live model
-    /// (`canary_max_divergence`) — must pass before fresh replicas are built
-    /// and swapped in. Workers pick up the new set at their next batch, so
-    /// every in-flight frame finishes on the model it started on. Any
+    /// byte-size pre-check, int8 re-calibration in int8 mode), and a canary
+    /// gate — deterministic synthetic forwards checked for finite outputs and
+    /// bounded divergence vs the live model (`canary_max_divergence`) — must
+    /// pass before fresh replicas are built and swapped in. Workers pick up
+    /// the new set at their next batch, so every in-flight frame finishes on
+    /// the model it started on. Any
     /// failure (unreadable/truncated file, NaN outputs, divergence) rejects
     /// the candidate and leaves serving byte-identical to before the call.
     /// Reloads are serialized; concurrent callers queue. Thread-safe.

@@ -1,6 +1,6 @@
 // Dispatched kernel entry points backing the hot paths (tensor/gemm,
 // tensor/gemm_i8, tensor/im2col, tensor/ops, nn/activation, nn/quantize,
-// image/resize, nn fp16 storage).
+// image/resize).
 //
 // Callers fetch the active table once per call site via kernels() — one
 // atomic acquire load — and invoke plain function pointers. The scalar table
@@ -23,8 +23,6 @@
 //   * requant_row evaluates float(acc) * requant + bias as a separate multiply
 //     and add (the simd library builds with -ffp-contract=off, so neither
 //     level fuses them): bitwise identical across levels.
-//   * floats_to_halfs / halfs_to_floats agree bitwise across levels for all
-//     finite values and infinities (RTNE both ways); NaN payloads may differ.
 #pragma once
 
 #include <cstddef>
@@ -42,8 +40,6 @@ struct KernelTable {
     /// dst[i] = a[i]*(1-w) + b[i]*w — the bilinear vertical pass.
     void (*lerp_rows)(const float* a, const float* b, float w, float* dst,
                       std::size_t n);
-    void (*floats_to_halfs)(const float* src, std::uint16_t* dst, std::size_t n);
-    void (*halfs_to_floats)(const std::uint16_t* src, float* dst, std::size_t n);
     /// Full 4x16 C tile: c[r][j] = alpha*sum_k(ap[k*4+r]*b[k*b_stride+j]) +
     /// beta*c[r][j]. Null on the scalar table (caller's reference loop runs).
     void (*gemm_micro_4x16)(const float* ap, const float* b,

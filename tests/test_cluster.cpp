@@ -234,6 +234,16 @@ TEST(Protocol, TruncatedPayloadDecodesAsError) {
     EXPECT_THROW((void)cluster::decode_detect_response(payload), std::runtime_error);
     EXPECT_THROW((void)cluster::decode_pong({1, 2, 3}), std::runtime_error);
     EXPECT_THROW((void)cluster::decode_detect_request({0, 0}), std::runtime_error);
+    // Header-only payloads whose counts claim far more than they carry must
+    // be refused before anything is sized from them: 65535x65535x3 pixels
+    // (a 51 GB image) and 2^32 - 1 detections.
+    EXPECT_THROW((void)cluster::decode_detect_request({0xff, 0xff, 0xff, 0xff, 3, 0, 0, 0}),
+                 std::runtime_error);
+    std::vector<std::uint8_t> huge_count =
+        cluster::encode_detect_response(cluster::WireDetectResult{});
+    const std::size_t count_at = huge_count.size() - 2 * sizeof(std::uint32_t);
+    std::memset(huge_count.data() + count_at, 0xff, sizeof(std::uint32_t));
+    EXPECT_THROW((void)cluster::decode_detect_response(huge_count), std::runtime_error);
 }
 
 // ---- WorkerServer over a live socketpair ------------------------------------

@@ -670,14 +670,6 @@ TEST(CalibrateInt8, PerImagePassesEqualOneBatchPass) {
 
 // ---- int8 serving tier ------------------------------------------------------
 
-TEST(QuantizedService, RejectsInt8OnFp16Prototype) {
-    Network net = build_model(ModelId::kDroNet, {.input_size = 64, .filter_scale = 0.25f});
-    net.set_fp16(true);
-    serve::ServiceConfig sc;
-    sc.int8 = true;
-    EXPECT_THROW((DetectionService{net, sc}), std::invalid_argument);
-}
-
 TEST(QuantizedService, MicroBatchedInt8IsDeterministicAcrossReplicas) {
     // The same frame submitted many times through 2 int8 replicas with
     // micro-batching must resolve bit-identically everywhere: replicas share

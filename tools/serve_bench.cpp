@@ -104,7 +104,6 @@ constexpr const char* kUsage =
     "  --small-size S        small frame resolution (default: S/2)\n"
     "  --batch B             worker micro-batch size\n"
     "  --batch-timeout-us U  micro-batch linger window\n"
-    "  --fp16                fp16 weight/activation storage (inference only)\n"
     "  --int8                calibrated int8 conv path per replica\n"
     "  --profile             per-layer timing JSON per worker replica\n"
     "  --expect-complete     exit non-zero unless every frame resolved ok\n"
@@ -152,7 +151,6 @@ struct Args {
     int client_inflight = 0;  ///< 0 = frames_per_stream
     int small_every = 0;
     int small_size = 0;
-    bool fp16 = false;
     bool profile = false;
     bool expect_complete = false;
     bool help = false;
@@ -201,7 +199,6 @@ Args parse_args(int argc, char** argv) {
         else if (a == "--small-size") args.small_size = std::stoi(next());
         else if (a == "--batch") args.service.max_batch = std::stoi(next());
         else if (a == "--batch-timeout-us") args.service.batch_timeout_us = std::stoll(next());
-        else if (a == "--fp16") args.fp16 = true;
         else if (a == "--int8") args.service.int8 = true;
         else if (a == "--profile") args.profile = true;
         else if (a == "--expect-complete") args.expect_complete = true;
@@ -248,9 +245,6 @@ Args parse_args(int argc, char** argv) {
             throw std::runtime_error(f + (fleet ? " does not apply with --cluster"
                                                 : " needs --cluster"));
         }
-    }
-    if (args.fp16 && args.service.int8) {
-        throw std::runtime_error("--fp16 and --int8 are mutually exclusive");
     }
     if (args.service.degrade_high_watermark > 0 && args.service.degraded_size <= 0) {
         args.service.degraded_size = args.size / 2;
@@ -478,7 +472,6 @@ class ServiceTarget final : public Target {
         }();
         net.set_batch(1);
         if (net.config().width != args.size) net.resize_input(args.size, args.size);
-        if (args.fp16) net.set_fp16(true);  // after weights: enabling encodes halves
         return net;
     }
 
@@ -563,7 +556,6 @@ class FleetTarget final : public Target {
                           "--deadline-ms", std::to_string(sc.deadline_ms),
                           "--retries", std::to_string(sc.max_retries),
                           "--gemm-threads", std::to_string(args.gemm_threads)};
-        if (args.fp16) rc.worker_argv.push_back("--fp16");
         if (sc.int8) rc.worker_argv.push_back("--int8");
         rc.workers = workers;
         return rc;
