@@ -196,12 +196,12 @@ BENCHMARK(BM_GemmI8SimdLevel)
 void BM_DroNetForwardInt8(benchmark::State& state) {
     Network net = build_model(ModelId::kDroNet,
                               {.input_size = static_cast<int>(state.range(0))});
-    QuantizedNetwork quant(net);  // self-calibrates; folds BN
+    quantize_network(net, QuantizedNetwork::self_calibrate(net));  // folds BN
     Tensor in(net.input_shape());
     Rng rng(13);
     rng.fill_uniform(in.span(), 0.0f, 1.0f);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(quant.forward(in).data());
+        benchmark::DoNotOptimize(net.forward(in).data());
     }
 }
 BENCHMARK(BM_DroNetForwardInt8)->Arg(352)->Arg(512)->Unit(benchmark::kMillisecond);

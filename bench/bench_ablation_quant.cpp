@@ -23,28 +23,29 @@ int main() {
     net.set_batch(1);
     net.resize_input(224, 224);
 
+    // fp32 first: quantizing folds batch norm into `net` and switches its
+    // convs to int8, so both fp32 figures come from the untouched network.
     EvalConfig ec;
     ec.score_threshold = 0.30f;
     const DetectionMetrics fp32_m = evaluate_detector(net, test_set, ec);
+    Tensor input(net.input_shape());
+    const double fps_fp32 = measure_fps([&] { net.forward(input); }, 1, 3);
 
     // Calibrated int8: calibrate on the benchmark's train split, evaluate
-    // through the same evaluator as the float paths.
+    // through the same evaluator and forward as fp32.
     std::vector<Image> calib;
     for (std::size_t i = 0; i < train_set.size() && i < 8; ++i) {
         calib.push_back(train_set.image(i));
     }
-    QuantizedNetwork quant(net, calibrate_int8(net, calib, ec));
-    const DetectionMetrics int8_m = evaluate_detector(net, test_set, ec, &quant);
+    const QuantizedNetwork quant(net, calibrate_int8(net, calib, ec));
+    const DetectionMetrics int8_m = evaluate_detector(net, test_set, ec);
+    const double fps_int8 = measure_fps([&] { net.forward(input); }, 1, 3);
 
     std::printf("== fp32 / int8 ablation of DroNet (input 224, %s dispatch) ==\n",
                 simd::to_string(simd::active_level()));
     std::printf("weight storage: %.1f KB float -> %.1f KB int8 (%.2fx smaller)\n",
                 quant.float_weight_bytes() / 1024.0, quant.weight_bytes() / 1024.0,
                 static_cast<double>(quant.float_weight_bytes()) / quant.weight_bytes());
-
-    Tensor input(net.input_shape());
-    const double fps_fp32 = measure_fps([&] { net.forward(input); }, 1, 3);
-    const double fps_int8 = measure_fps([&] { quant.forward(input); }, 1, 3);
 
     // The paper's composite Score (eq. 3): metrics normalized by their max
     // across the compared configurations, FPS weighted 0.4.

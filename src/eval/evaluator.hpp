@@ -42,9 +42,9 @@ struct DetectStageTimings {
                                       const EvalConfig& config = {});
 
 /// Same computation as detect_image (bit-identical results), additionally
-/// filling `timings` when non-null. When `int8` is non-null (it must wrap
-/// this same `net`), the forward pass runs through the quantized path;
-/// preprocessing, decode and postprocessing are unchanged.
+/// filling `timings` when non-null. A quantized `net` runs its convs in int8
+/// (quantize_network). `int8` selects nothing: it must be null or wrap `net`
+/// (std::invalid_argument otherwise); it remains for existing callers.
 [[nodiscard]] Detections detect_image_timed(Network& net, const Image& image,
                                             const EvalConfig& config,
                                             DetectStageTimings* timings,
@@ -61,12 +61,10 @@ struct DetectStageTimings {
                                                     const EvalConfig& config = {});
 
 /// detect_images with aggregate per-stage timings for the whole batch
-/// (filled when `timings` is non-null). When `int8` is non-null (wrapping
-/// this same `net`), the single batched forward runs through the quantized
-/// path — batch-N int8 results are bit-identical per image to batch-1 int8.
+/// (filled when `timings` is non-null).
 [[nodiscard]] std::vector<Detections> detect_images_timed(
     Network& net, std::span<const Image> images, const EvalConfig& config,
-    DetectStageTimings* timings, QuantizedNetwork* int8 = nullptr);
+    DetectStageTimings* timings);
 
 /// Maps network-space detections back through the letterbox transform into
 /// source-image normalized coordinates, clamping every box to the valid [0,1]
@@ -77,17 +75,15 @@ struct DetectStageTimings {
 [[nodiscard]] Detections unletterbox(Detections dets, const Letterbox& lb, int net_w,
                                      int net_h, int src_w, int src_h);
 
-/// Evaluates the detector over every image of `ds` (through the int8 path
-/// when `int8` is non-null).
+/// Evaluates the detector over every image of `ds`.
 [[nodiscard]] DetectionMetrics evaluate_detector(Network& net, const DetectionDataset& ds,
-                                                 const EvalConfig& config = {},
-                                                 QuantizedNetwork* int8 = nullptr);
+                                                 const EvalConfig& config = {});
 
 /// Int8 calibration over real imagery: letterboxes/resizes `images` exactly
 /// as the detect path would (one batch-1 float forward per image) and records
 /// per-conv-layer activation ranges — exactly the ranges of one batch-N pass.
 /// Leaves `net` at its incoming batch size. This is the preferred calibration
-/// source; pass the result to QuantizedNetwork's two-argument constructor.
+/// source; pass the result to quantize_network.
 [[nodiscard]] Int8Calibration calibrate_int8(Network& net, std::span<const Image> images,
                                              const EvalConfig& config = {});
 

@@ -16,6 +16,8 @@ namespace dronet {
 /// Deep-copies `src`: architecture (via cfg round-trip), every trainable
 /// parameter block (values, gradients, momentum), serialized batch-norm
 /// statistics, the batch counter and the region layer's `seen` counter.
+/// Int8 snapshots are not parameters: the clone of a quantized network is
+/// its folded float network, so DetectionService's reference stays float.
 /// Throws std::logic_error if the rebuilt structure does not match `src`
 /// (which would indicate a cfg emitter/parser bug).
 [[nodiscard]] Network clone_network(const Network& src);

@@ -5,10 +5,32 @@
 #include <stdexcept>
 
 #include "nn/network.hpp"
+#include "simd/kernels.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/gemm_i8.hpp"
 #include "tensor/ops.hpp"
 
 namespace dronet {
+namespace {
+
+/// Byte offsets of the int8 forward's workspace slices, each a multiple of
+/// 64: the quantized input at 0, then the int8 col matrix, then the int32
+/// accumulator; `end` is the total.
+struct Int8Slices {
+    std::size_t col, acc, end;
+};
+
+[[nodiscard]] Int8Slices int8_slices(const ConvGeometry& geo, int filters,
+                                     bool pointwise) noexcept {
+    const auto align = [](std::size_t n) { return (n + 63) & ~std::size_t{63}; };
+    const auto cols = static_cast<std::size_t>(geo.col_cols());
+    const std::size_t col = align(static_cast<std::size_t>(geo.channels) * geo.height * geo.width);
+    const std::size_t acc =
+        align(col + (pointwise ? 0 : static_cast<std::size_t>(geo.col_rows()) * cols));
+    return {col, acc, acc + sizeof(std::int32_t) * static_cast<std::size_t>(filters) * cols};
+}
+
+}  // namespace
 
 ConvolutionalLayer::ConvolutionalLayer(const ConvConfig& config, const Shape& input,
                                        Rng& rng)
@@ -77,7 +99,8 @@ std::int64_t ConvolutionalLayer::flops() const {
 }
 
 std::size_t ConvolutionalLayer::workspace_bytes() const {
-    if (config_.ksize == 1 && config_.stride == 1 && config_.pad == 0) return 0;
+    if (int8_) return int8_slices(geo_, config_.filters, pointwise()).end;
+    if (pointwise()) return 0;
     return sizeof(float) * static_cast<std::size_t>(geo_.col_rows()) *
            static_cast<std::size_t>(geo_.col_cols());
 }
@@ -117,15 +140,19 @@ void ConvolutionalLayer::forward(const Tensor& input, Network& net, bool train) 
     if (input.shape() != input_shape_) {
         throw std::invalid_argument("ConvolutionalLayer::forward: shape mismatch");
     }
+    if (int8_) {
+        if (train) throw std::logic_error("ConvolutionalLayer::forward: an int8 layer cannot train");
+        forward_int8(input, net);
+        return;
+    }
     const int out_hw = static_cast<int>(output_shape_.hw());
     const int col_rows = geo_.col_rows();
-    const bool is_1x1 = config_.ksize == 1 && config_.stride == 1 && config_.pad == 0;
     for (int b = 0; b < input.shape().n; ++b) {
         const float* in_b = input.data() + static_cast<std::int64_t>(b) * input.shape().chw();
         float* out_b = output_.data() + static_cast<std::int64_t>(b) * output_shape_.chw();
         const float* col = in_b;
-        if (!is_1x1) {
-            float* ws = net.workspace();
+        if (!pointwise()) {
+            auto* ws = reinterpret_cast<float*>(net.workspace());
             im2col_mt(in_b, geo_, ws, gemm_threads());
             col = ws;
         }
@@ -136,6 +163,45 @@ void ConvolutionalLayer::forward(const Tensor& input, Network& net, bool train) 
     add_channel_bias(output_.span(), biases_.v, output_shape_.n, output_shape_.c,
                      static_cast<int>(output_shape_.hw()));
     apply_activation(config_.activation, output_.span());
+}
+
+void ConvolutionalLayer::forward_int8(const Tensor& input, Network& net) {
+    const QuantizedConv& q = *int8_;
+    const Int8Slices slices = int8_slices(geo_, config_.filters, pointwise());
+    std::byte* ws = net.workspace();
+    auto* in_q = reinterpret_cast<std::int8_t*>(ws);
+    auto* col_q = reinterpret_cast<std::int8_t*>(ws + slices.col);
+    auto* acc = reinterpret_cast<std::int32_t*>(ws + slices.acc);
+    const int out_hw = geo_.col_cols();
+    const int col_rows = geo_.col_rows();
+    const std::int64_t in_chw = input_shape_.chw();
+    const simd::KernelTable& kt = simd::kernels();
+    for (int b = 0; b < input_shape_.n; ++b) {
+        const float* in_b = input.data() + static_cast<std::int64_t>(b) * in_chw;
+        float* out_b = output_.data() + static_cast<std::int64_t>(b) * output_shape_.chw();
+        // Quantize the input tensor once with the static calibrated scale,
+        // then lower it in int8. im2col only copies or writes 0, and 0
+        // quantizes to 0, so this is exactly the quantized float col matrix
+        // at 1/k^2 of the quantize work.
+        kt.quantize_row(in_b, static_cast<std::size_t>(in_chw), q.input_scale, in_q);
+        const std::int8_t* col = in_q;
+        if (!pointwise()) {
+            im2col_mt(in_q, geo_, col_q, gemm_threads());
+            col = col_q;
+        }
+        gemm_i8(config_.filters, out_hw, col_rows, q.weights.data(), col_rows, col, out_hw,
+                acc, out_hw);
+        // Requantize epilogue: dequantize + bias with the precomputed
+        // per-channel multiplier, then the activation row kernel.
+        for (int f = 0; f < config_.filters; ++f) {
+            const auto fi = static_cast<std::size_t>(f);
+            float* orow = out_b + static_cast<std::int64_t>(f) * out_hw;
+            kt.requant_row(acc + static_cast<std::int64_t>(f) * out_hw,
+                           static_cast<std::size_t>(out_hw), q.requant[fi], biases_.v[fi], orow);
+            apply_activation(config_.activation,
+                             std::span<float>(orow, static_cast<std::size_t>(out_hw)));
+        }
+    }
 }
 
 void ConvolutionalLayer::batchnorm_backward() {
@@ -179,15 +245,14 @@ void ConvolutionalLayer::backward(const Tensor& input, Tensor* input_delta, Netw
 
     const int out_hw = static_cast<int>(output_shape_.hw());
     const int col_rows = geo_.col_rows();
-    const bool is_1x1 = config_.ksize == 1 && config_.stride == 1 && config_.pad == 0;
+    auto* ws = reinterpret_cast<float*>(net.workspace());
     for (int b = 0; b < input.shape().n; ++b) {
         const float* in_b = input.data() + static_cast<std::int64_t>(b) * input.shape().chw();
         const float* delta_b =
             delta_.data() + static_cast<std::int64_t>(b) * output_shape_.chw();
         // dW += delta_b * col^T
         const float* col = in_b;
-        if (!is_1x1) {
-            float* ws = net.workspace();
+        if (!pointwise()) {
             im2col_mt(in_b, geo_, ws, gemm_threads());
             col = ws;
         }
@@ -196,13 +261,12 @@ void ConvolutionalLayer::backward(const Tensor& input, Tensor* input_delta, Netw
         if (input_delta != nullptr) {
             float* in_delta_b =
                 input_delta->data() + static_cast<std::int64_t>(b) * input.shape().chw();
-            if (is_1x1) {
+            if (pointwise()) {
                 // dcol aliases the input plane directly: accumulate W^T * delta.
                 gemm(true, false, col_rows, out_hw, config_.filters, 1.0f,
                      weights_.v.data(), col_rows, delta_b, out_hw, 1.0f, in_delta_b,
                      out_hw);
             } else {
-                float* ws = net.workspace();
                 gemm(true, false, col_rows, out_hw, config_.filters, 1.0f,
                      weights_.v.data(), col_rows, delta_b, out_hw, 0.0f, ws, out_hw);
                 col2im(ws, geo_, in_delta_b);
@@ -231,6 +295,38 @@ void ConvolutionalLayer::fold_batchnorm() {
     rolling_mean_.clear();
     rolling_variance_.clear();
     x_norm_ = Tensor();
+}
+
+void ConvolutionalLayer::quantize(float input_max) {
+    if (config_.batch_normalize) {
+        throw std::logic_error("ConvolutionalLayer::quantize: fold batch norm first");
+    }
+    const int fan_in = geo_.col_rows();
+    QuantizedConv q;
+    q.input_scale = input_max > 0.0f ? input_max / 127.0f : 1.0f;
+    q.weights.resize(weights_.size());
+    q.scales.resize(static_cast<std::size_t>(config_.filters));
+    q.requant.resize(static_cast<std::size_t>(config_.filters));
+    for (int f = 0; f < config_.filters; ++f) {
+        const float* row = weights_.v.data() + static_cast<std::int64_t>(f) * fan_in;
+        const float scale = quantization_scale(row, fan_in);
+        q.scales[static_cast<std::size_t>(f)] = scale;
+        q.requant[static_cast<std::size_t>(f)] = scale * q.input_scale;
+        quantize_buffer(row, fan_in, scale,
+                        q.weights.data() + static_cast<std::int64_t>(f) * fan_in);
+    }
+    int8_ = std::move(q);
+}
+
+float ConvolutionalLayer::mean_weight_error() const {
+    if (!int8_) return 0.0f;
+    const std::size_t fan_in = weights_.size() / static_cast<std::size_t>(config_.filters);
+    double err = 0;
+    for (std::size_t i = 0; i < weights_.size(); ++i) {
+        const float deq = static_cast<float>(int8_->weights[i]) * int8_->scales[i / fan_in];
+        err += std::fabs(deq - weights_.v[i]);
+    }
+    return static_cast<float>(err / static_cast<double>(weights_.size()));
 }
 
 void ConvolutionalLayer::forward_direct(const Tensor& input, Tensor& out) const {

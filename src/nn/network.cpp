@@ -36,11 +36,14 @@ Shape Network::next_input_shape() const {
 void Network::refresh_workspace() {
     std::size_t bytes = 0;
     for (const auto& l : layers_) bytes = std::max(bytes, l->workspace_bytes());
-    // Grow-only: im2col fully rewrites the workspace before every use, so a
-    // shrinking resize (batch toggling in the serving micro-batch path) need
-    // not reallocate or zero.
-    const std::size_t floats = (bytes + sizeof(float) - 1) / sizeof(float);
-    if (workspace_.size() < floats) workspace_.resize(floats, 0.0f);
+    // Grow-only: every layer fully rewrites the slices it reads before each
+    // use, so a shrinking resize (batch toggling in the serving micro-batch
+    // path) need not reallocate, and a grow need not keep the old contents.
+    if (workspace_ != nullptr && bytes <= workspace_bytes_) return;
+    workspace_.reset();
+    workspace_ = std::make_unique<std::byte[]>(bytes);
+    workspace_bytes_ = bytes;
+    ++workspace_grows_;
 }
 
 template <typename L, typename... Args>

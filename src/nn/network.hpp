@@ -6,6 +6,7 @@
 // parsed from darknet-format .cfg text (nn/cfg.hpp).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -118,8 +119,15 @@ class Network {
     [[nodiscard]] const LrSchedule& schedule() const noexcept { return schedule_; }
     [[nodiscard]] float current_lr() const { return schedule_.at(batch_num_); }
 
-    /// Shared im2col scratch; sized for the largest conv layer.
-    [[nodiscard]] float* workspace() noexcept { return workspace_.data(); }
+    /// Shared grow-only layer scratch: the largest workspace_bytes() over
+    /// all layers, each at its current precision. Layers view it as float
+    /// (im2col) or as int8/int32 slices at 64-byte offsets (int8 convs).
+    [[nodiscard]] std::byte* workspace() noexcept { return workspace_.get(); }
+    /// Grows the workspace to the layers' current need. Shape changes call
+    /// it; call it after changing a layer's precision.
+    void refresh_workspace();
+    /// Times the workspace has grown (including while layers were added).
+    [[nodiscard]] std::int64_t workspace_grows() const noexcept { return workspace_grows_; }
 
     /// Per-layer timing sink, populated by forward() while profiling is
     /// enabled (profile::profiling_enabled()). Null until the first profiled
@@ -133,7 +141,6 @@ class Network {
 
   private:
     [[nodiscard]] Shape next_input_shape() const;
-    void refresh_workspace();
     template <typename L, typename... Args>
     L& emplace_layer(Args&&... args);
 
@@ -141,7 +148,9 @@ class Network {
     LrSchedule schedule_;
     Rng rng_;
     std::vector<std::unique_ptr<Layer>> layers_;
-    std::vector<float> workspace_;
+    std::unique_ptr<std::byte[]> workspace_;
+    std::size_t workspace_bytes_ = 0;
+    std::int64_t workspace_grows_ = 0;
     Tensor input_copy_;  ///< retained for backward()
     std::int64_t batch_num_ = 0;
     std::unique_ptr<profile::ForwardProfiler> profiler_;

@@ -3,13 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <string>
 
-#include "nn/activation.hpp"
-#include "simd/kernels.hpp"
-#include "tensor/gemm.hpp"
-#include "tensor/gemm_i8.hpp"
-#include "tensor/im2col.hpp"
 #include "tensor/rng.hpp"
 
 namespace dronet {
@@ -21,32 +15,46 @@ namespace {
     return mx;
 }
 
-/// Live lowering geometry for a quantized layer — derived per call from the
-/// source layer so set_batch / resize_input are picked up automatically.
-[[nodiscard]] ConvGeometry live_geometry(const QuantizedConv& qc,
-                                         const ConvolutionalLayer& conv) noexcept {
-    const Shape& in = conv.input_shape();
-    return ConvGeometry{in.c, in.h, in.w, qc.config.ksize, qc.config.stride,
-                        qc.config.pad};
-}
-
-/// A 1x1/s1/p0 conv's col matrix is its input tensor: no lowering needed.
-[[nodiscard]] bool is_pointwise(const QuantizedConv& qc) noexcept {
-    return qc.config.ksize == 1 && qc.config.stride == 1 && qc.config.pad == 0;
+/// The conv layers of `net`, in network order.
+[[nodiscard]] std::vector<ConvolutionalLayer*> convs_of(Network& net) {
+    std::vector<ConvolutionalLayer*> convs;
+    for (std::size_t i = 0; i < net.num_layers(); ++i) {
+        if (auto* conv = dynamic_cast<ConvolutionalLayer*>(&net.layer(static_cast<int>(i)))) {
+            convs.push_back(conv);
+        }
+    }
+    return convs;
 }
 
 }  // namespace
 
-float QuantizedConv::mean_weight_error(const ConvolutionalLayer& source) const {
-    double err = 0;
-    for (int f = 0; f < config.filters; ++f) {
-        for (int i = 0; i < fan_in; ++i) {
-            const std::size_t idx = static_cast<std::size_t>(f) * fan_in + i;
-            const float deq = static_cast<float>(weights[idx]) * scales[static_cast<std::size_t>(f)];
-            err += std::fabs(deq - source.weights().v[idx]);
+std::vector<Tensor> probe_frames(const Shape& in) {
+    std::vector<Tensor> frames;
+    // Constant frames bound the aligned-filter response, the ramp adds
+    // low-frequency structure, seeded noise adds texture — a deterministic
+    // stand-in for representative [0,1] imagery (docs/quantization.md).
+    frames.emplace_back(in);
+    frames.back().fill(0.5f);
+    frames.emplace_back(in);
+    frames.back().fill(1.0f);
+    Tensor ramp(in);
+    for (int n = 0; n < in.n; ++n) {
+        for (int c = 0; c < in.c; ++c) {
+            for (int h = 0; h < in.h; ++h) {
+                for (int w = 0; w < in.w; ++w) {
+                    const float y = in.h > 1 ? static_cast<float>(h) / static_cast<float>(in.h - 1) : 0.0f;
+                    const float x = in.w > 1 ? static_cast<float>(w) / static_cast<float>(in.w - 1) : 0.0f;
+                    ramp[ramp.index(n, c, h, w)] = 0.5f * (x + y);
+                }
+            }
         }
     }
-    return static_cast<float>(err / (static_cast<double>(config.filters) * fan_in));
+    frames.push_back(std::move(ramp));
+    Tensor noise(in);
+    Rng rng(0x178cu);
+    rng.fill_uniform(noise.span(), 0.0f, 1.0f);
+    frames.push_back(std::move(noise));
+    return frames;
 }
 
 Int8Calibration QuantizedNetwork::calibrate(Network& net,
@@ -54,10 +62,15 @@ Int8Calibration QuantizedNetwork::calibrate(Network& net,
     if (samples.empty()) {
         throw std::invalid_argument("QuantizedNetwork::calibrate: no samples");
     }
+    const std::vector<ConvolutionalLayer*> convs = convs_of(net);
+    if (std::any_of(convs.begin(), convs.end(),
+                    [](const ConvolutionalLayer* c) { return c->quantized() != nullptr; })) {
+        throw std::logic_error("QuantizedNetwork::calibrate: the network is already int8");
+    }
     // Fold first: quantized inference runs on the folded network, so the
     // recorded ranges must come from folded float forwards.
     net.fold_batchnorm();
-    Int8Calibration calib;
+    Int8Calibration calib{std::vector<float>(convs.size(), 0.0f)};
     for (const Tensor& sample : samples) {
         if (sample.shape() != net.input_shape()) {
             throw std::invalid_argument(
@@ -73,9 +86,7 @@ Int8Calibration QuantizedNetwork::calibrate(Network& net,
             // input for layer 0). im2col only copies or zero-pads, so this
             // max is exactly the col matrix's max.
             const Tensor& in = i == 0 ? sample : net.layer(static_cast<int>(i) - 1).output();
-            const float mx = max_abs_of(in.span());
-            if (slot == calib.max_abs.size()) calib.max_abs.push_back(0.0f);
-            calib.max_abs[slot] = std::max(calib.max_abs[slot], mx);
+            calib.max_abs[slot] = std::max(calib.max_abs[slot], max_abs_of(in.span()));
             ++slot;
         }
     }
@@ -83,196 +94,55 @@ Int8Calibration QuantizedNetwork::calibrate(Network& net,
 }
 
 Int8Calibration QuantizedNetwork::self_calibrate(Network& net) {
-    const Shape in = net.input_shape();
-    std::vector<Tensor> samples;
-    // Constant frames bound the aligned-filter response, the ramp adds
-    // low-frequency structure, seeded noise adds texture — a deterministic
-    // stand-in for representative [0,1] imagery (docs/quantization.md).
-    samples.emplace_back(in);
-    samples.back().fill(0.5f);
-    samples.emplace_back(in);
-    samples.back().fill(1.0f);
-    Tensor ramp(in);
-    for (int n = 0; n < in.n; ++n) {
-        for (int c = 0; c < in.c; ++c) {
-            for (int h = 0; h < in.h; ++h) {
-                for (int w = 0; w < in.w; ++w) {
-                    const float y = in.h > 1 ? static_cast<float>(h) / static_cast<float>(in.h - 1) : 0.0f;
-                    const float x = in.w > 1 ? static_cast<float>(w) / static_cast<float>(in.w - 1) : 0.0f;
-                    ramp[ramp.index(n, c, h, w)] = 0.5f * (x + y);
-                }
-            }
-        }
+    return calibrate(net, probe_frames(net.input_shape()));
+}
+
+void quantize_network(Network& net, const Int8Calibration& calibration) {
+    net.fold_batchnorm();
+    const std::vector<ConvolutionalLayer*> convs = convs_of(net);
+    if (calibration.layer_count() < convs.size()) {
+        throw std::invalid_argument(
+            "quantize_network: calibration covers fewer conv layers than the network");
     }
-    samples.push_back(std::move(ramp));
-    Tensor noise(in);
-    Rng rng(0x178cu);
-    rng.fill_uniform(noise.span(), 0.0f, 1.0f);
-    samples.push_back(std::move(noise));
-    return calibrate(net, samples);
+    if (calibration.layer_count() > convs.size()) {
+        throw std::invalid_argument(
+            "quantize_network: calibration covers more conv layers than the network");
+    }
+    for (std::size_t i = 0; i < convs.size(); ++i) convs[i]->quantize(calibration.max_abs[i]);
+    net.refresh_workspace();
 }
 
 QuantizedNetwork::QuantizedNetwork(Network& net, const Int8Calibration& calibration)
     : net_(net), calibration_(calibration) {
-    net_.fold_batchnorm();
-    std::size_t slot = 0;
-    for (std::size_t i = 0; i < net_.num_layers(); ++i) {
-        auto* conv = dynamic_cast<ConvolutionalLayer*>(&net_.layer(static_cast<int>(i)));
-        if (conv == nullptr) continue;
-        if (slot >= calibration_.layer_count()) {
-            throw std::invalid_argument(
-                "QuantizedNetwork: calibration covers fewer conv layers than the network");
-        }
-        QuantizedConv qc;
-        qc.layer_index = static_cast<int>(i);
-        qc.config = conv->config();
-        qc.fan_in = conv->input_shape().c * qc.config.ksize * qc.config.ksize;
-        const float in_max = calibration_.max_abs[slot];
-        qc.input_scale = in_max > 0.0f ? in_max / 127.0f : 1.0f;
-        qc.weights.resize(static_cast<std::size_t>(qc.config.filters) * qc.fan_in);
-        qc.scales.resize(static_cast<std::size_t>(qc.config.filters));
-        qc.requant.resize(static_cast<std::size_t>(qc.config.filters));
-        qc.biases = conv->biases().v;
-        for (int f = 0; f < qc.config.filters; ++f) {
-            const float* row = conv->weights().v.data() + static_cast<std::int64_t>(f) * qc.fan_in;
-            const float scale = quantization_scale(row, qc.fan_in);
-            qc.scales[static_cast<std::size_t>(f)] = scale;
-            qc.requant[static_cast<std::size_t>(f)] = scale * qc.input_scale;
-            quantize_buffer(row, qc.fan_in, scale,
-                            qc.weights.data() + static_cast<std::int64_t>(f) * qc.fan_in);
-        }
-        convs_.push_back(conv);
-        quantized_.push_back(std::move(qc));
-        ++slot;
-    }
-    if (slot != calibration_.layer_count()) {
-        throw std::invalid_argument(
-            "QuantizedNetwork: calibration covers more conv layers than the network");
-    }
-    // Pre-size scratch for the construction-time geometry; forwards at this
-    // size or smaller (re-batch, degraded input) never allocate again.
-    ensure_scratch();
-    scratch_grows_ = 0;
+    quantize_network(net_, calibration_);
+    grows_at_quantize_ = net_.workspace_grows();
 }
 
 QuantizedNetwork::QuantizedNetwork(Network& net)
     : QuantizedNetwork(net, self_calibrate(net)) {}
 
-void QuantizedNetwork::ensure_scratch() {
-    std::size_t in_need = 0;
-    std::size_t col_need = 0;
-    std::size_t acc_need = 0;
-    for (std::size_t qi = 0; qi < quantized_.size(); ++qi) {
-        const QuantizedConv& qc = quantized_[qi];
-        const ConvGeometry geo = live_geometry(qc, *convs_[qi]);
-        const auto cols = static_cast<std::size_t>(geo.col_cols());
-        in_need = std::max(in_need, static_cast<std::size_t>(geo.channels) *
-                                        geo.height * geo.width);
-        if (!is_pointwise(qc)) {
-            col_need = std::max(col_need, static_cast<std::size_t>(geo.col_rows()) * cols);
-        }
-        acc_need = std::max(acc_need, static_cast<std::size_t>(qc.config.filters) * cols);
-    }
-    if (in_need <= in_i8_.size() && col_need <= col_i8_.size() &&
-        acc_need <= acc_.size()) {
-        return;
-    }
-    ++scratch_grows_;
-    in_i8_.resize(std::max(in_need, in_i8_.size()));
-    col_i8_.resize(std::max(col_need, col_i8_.size()));
-    acc_.resize(std::max(acc_need, acc_.size()));
-}
-
-void QuantizedNetwork::forward_quantized_conv(const QuantizedConv& qc,
-                                              const ConvolutionalLayer& conv,
-                                              const Tensor& input, Tensor& output) {
-    const ConvGeometry geo = live_geometry(qc, conv);
-    const int out_hw = geo.col_cols();
-    const int col_rows = geo.col_rows();
-    const std::int64_t in_chw = input.shape().chw();
-    const simd::KernelTable& kt = simd::kernels();
-    for (int b = 0; b < input.shape().n; ++b) {
-        const float* in_b = input.data() + static_cast<std::int64_t>(b) * in_chw;
-        float* out_b = output.data() + static_cast<std::int64_t>(b) * conv.output_shape().chw();
-        // Quantize the input tensor once with the layer's static calibrated
-        // scale, then lower it in int8. im2col only copies or writes 0, and
-        // 0 quantizes to 0, so this is exactly the quantized float col
-        // matrix at 1/k^2 of the quantize work.
-        kt.quantize_row(in_b, static_cast<std::size_t>(in_chw), qc.input_scale,
-                        in_i8_.data());
-        const std::int8_t* col = in_i8_.data();
-        if (!is_pointwise(qc)) {
-            im2col_mt(in_i8_.data(), geo, col_i8_.data(), gemm_threads());
-            col = col_i8_.data();
-        }
-        gemm_i8(qc.config.filters, out_hw, col_rows, qc.weights.data(), col_rows, col,
-                out_hw, acc_.data(), out_hw);
-        // Requantize epilogue: dequantize + bias with the precomputed
-        // per-channel multiplier, then the activation row kernel.
-        for (int f = 0; f < qc.config.filters; ++f) {
-            const auto fi = static_cast<std::size_t>(f);
-            float* orow = out_b + static_cast<std::int64_t>(f) * out_hw;
-            kt.requant_row(acc_.data() + static_cast<std::int64_t>(f) * out_hw,
-                           static_cast<std::size_t>(out_hw), qc.requant[fi],
-                           qc.biases[fi], orow);
-            apply_activation(qc.config.activation,
-                             std::span<float>(orow, static_cast<std::size_t>(out_hw)));
-        }
-    }
-}
-
-const Tensor& QuantizedNetwork::forward(const Tensor& input) {
-    if (input.shape() != net_.input_shape()) {
-        throw std::invalid_argument("QuantizedNetwork::forward: shape mismatch");
-    }
-    // Re-batch / resize the scratch to the live geometry (grow-only; a no-op
-    // at construction-time-or-smaller shapes, so serving stays allocation-free).
-    ensure_scratch();
-    std::size_t next_q = 0;
-    const Tensor* x = &input;
-    for (std::size_t i = 0; i < net_.num_layers(); ++i) {
-        Layer& layer = net_.layer(static_cast<int>(i));
-        if (next_q < quantized_.size() &&
-            quantized_[next_q].layer_index == static_cast<int>(i)) {
-            forward_quantized_conv(quantized_[next_q], *convs_[next_q], *x,
-                                   layer.output());
-            ++next_q;
-        } else {
-            layer.forward(*x, net_, /*train=*/false);
-        }
-        x = &layer.output();
-    }
-    return *x;
-}
-
-Detections QuantizedNetwork::decode(int b) const {
-    const RegionLayer* head = net_.region();
-    if (head == nullptr) throw std::logic_error("QuantizedNetwork::decode: no region layer");
-    return head->decode(b);
-}
-
 float QuantizedNetwork::mean_weight_error() const {
-    if (quantized_.empty()) return 0.0f;
+    const std::vector<ConvolutionalLayer*> convs = convs_of(net_);
+    if (convs.empty()) return 0.0f;
     double total = 0;
-    for (std::size_t qi = 0; qi < quantized_.size(); ++qi) {
-        total += quantized_[qi].mean_weight_error(*convs_[qi]);
-    }
-    return static_cast<float>(total / static_cast<double>(quantized_.size()));
+    for (const ConvolutionalLayer* conv : convs) total += conv->mean_weight_error();
+    return static_cast<float>(total / static_cast<double>(convs.size()));
 }
 
-std::size_t QuantizedNetwork::weight_bytes() const noexcept {
+std::size_t QuantizedNetwork::weight_bytes() const {
     std::size_t total = 0;
-    for (const QuantizedConv& qc : quantized_) {
-        total += qc.weights.size() * sizeof(std::int8_t) +
-                 (qc.scales.size() + qc.requant.size() + qc.biases.size()) * sizeof(float);
+    for (const ConvolutionalLayer* conv : convs_of(net_)) {
+        const QuantizedConv& q = *conv->quantized();
+        total += q.weights.size() * sizeof(std::int8_t) +
+                 (q.scales.size() + q.requant.size() + conv->biases().size()) * sizeof(float);
     }
     return total;
 }
 
-std::size_t QuantizedNetwork::float_weight_bytes() const noexcept {
+std::size_t QuantizedNetwork::float_weight_bytes() const {
     std::size_t total = 0;
-    for (const QuantizedConv& qc : quantized_) {
-        total += (qc.weights.size() + qc.biases.size()) * sizeof(float);
+    for (const ConvolutionalLayer* conv : convs_of(net_)) {
+        total += (conv->weights().size() + conv->biases().size()) * sizeof(float);
     }
     return total;
 }

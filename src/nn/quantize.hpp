@@ -9,31 +9,29 @@
 //
 // Activation scales are static: a calibration pass runs float forwards over a
 // sample set and records each conv layer's input activation range, so no
-// frame ever sweeps its data for a range. Each quantized conv then quantizes
-// its input tensor once (C x H x W elements, one simd quantize_row pass) and
-// lowers the int8 tensor with the int8 im2col. im2col only copies or writes
-// 0, and 0 quantizes to 0, so that col matrix is byte-identical to
-// quantizing the k^2-times-larger float col matrix element by element — and
-// max|col matrix| == max|input tensor| makes the recorded input maximum
-// exactly the range the GEMM sees. After the int8 GEMM (4-row register
-// tiles), the simd requant_row kernel dequantizes and adds the bias, and the
-// activation row kernel finishes the epilogue.
-//
-// The quantized forward is batch- and size-flexible: geometry derives
-// per-call from the source layer's live input shape (so Network::set_batch
-// and resize_input — the serving micro-batch and degrade paths — both work),
-// each batch item runs through per-item scratch, and integer arithmetic makes
-// batch-N outputs bit-identical per item to batch-1. Scratch follows PR 4's
-// grow-only policy; scratch_grows() counts reallocation for tests.
+// frame ever sweeps its data for a range. quantize_network then switches
+// every conv layer to int8 (ConvolutionalLayer::quantize), and
+// Network::forward — the one forward for both precisions, with its profiler
+// rows, fault site and numerics guard — runs each conv by quantizing its
+// input tensor once (one simd quantize_row pass) and lowering the int8
+// tensor with the int8 im2col. im2col only copies or writes 0, and 0
+// quantizes to 0, so that col matrix is byte-identical to quantizing the
+// k^2-times-larger float col matrix element by element — and max|col
+// matrix| == max|input tensor| makes the recorded input maximum exactly the
+// range the GEMM sees. After the int8 GEMM (4-row register tiles), the simd
+// requant_row kernel dequantizes and adds the bias, and the activation row
+// kernel finishes the epilogue. Geometry follows each layer's live shape
+// (set_batch, resize_input), batch items use per-item slices of the
+// network's grow-only workspace, and batch-N outputs are bit-identical per
+// item to batch-1.
 //
 // Usage:
-//   Network net = ...;                            // trained
-//   auto calib = QuantizedNetwork::calibrate(net, samples);   // float passes
-//   QuantizedNetwork q(net, calib);               // folds BN, snapshots int8
-//   const Tensor& out = q.forward(input);         // any batch size
-//   Detections dets = q.decode(b);
-// or, with no sample set at hand, QuantizedNetwork q(net) self-calibrates on
-// a deterministic synthetic set (docs/quantization.md).
+//   auto calib = QuantizedNetwork::calibrate(net, samples);  // float passes
+//   quantize_network(net, calib);                 // folds BN, int8 convs
+//   const Tensor& out = net.forward(input);       // any batch size
+//   Detections dets = net.region()->decode(b);
+// self_calibrate(net) stands in for `samples` when none are at hand
+// (docs/quantization.md).
 #pragma once
 
 #include <cstdint>
@@ -54,28 +52,23 @@ struct Int8Calibration {
     [[nodiscard]] std::size_t layer_count() const noexcept { return max_abs.size(); }
 };
 
-/// Int8 snapshot of one convolutional layer.
-struct QuantizedConv {
-    int layer_index = 0;              ///< index in the source network
-    std::vector<std::int8_t> weights; ///< [filters x fan_in], row-major
-    std::vector<float> scales;        ///< per-output-channel weight scale
-    std::vector<float> requant;       ///< fused epilogue: scales[f] * input_scale
-    std::vector<float> biases;        ///< float biases (post BN folding)
-    float input_scale = 1.0f;         ///< static activation scale (calibrated)
-    ConvConfig config;
-    int fan_in = 0;                   ///< channels * ksize^2 — resize-invariant
+/// Folds batch norm and switches every conv layer of `net` to int8, with
+/// `calibration` giving the activation scales (one entry per conv layer, in
+/// order, else std::invalid_argument). clone_network of the result is its
+/// folded float network: the int8 snapshots are not parameters.
+void quantize_network(Network& net, const Int8Calibration& calibration);
 
-    /// Mean absolute weight quantization error (diagnostics).
-    [[nodiscard]] float mean_weight_error(const ConvolutionalLayer& source) const;
-};
+/// Deterministic synthetic frames at shape `in`, in [0, 1]: constant 0.5
+/// and 1.0, a low-frequency ramp and Rng(0x178c) noise. self_calibrate and
+/// the serving reload canary both probe with them.
+[[nodiscard]] std::vector<Tensor> probe_frames(const Shape& in);
 
+/// Handle over a quantized network that keeps its calibration and the
+/// quantization diagnostics; the benchmark's camera workload constructs it.
+/// It has no forward or decode: run net.forward and net.region()->decode.
 class QuantizedNetwork {
   public:
-    /// Snapshots `net`'s conv layers as int8 with `calibration` providing the
-    /// static activation scales (entries must match the network's conv layers
-    /// in order). Folds batch normalization in place (the float network keeps
-    /// working, with BN folded). The source network must outlive this object
-    /// (non-conv layers execute through it). Any batch size.
+    /// quantize_network(net, calibration); `net` must outlive the handle.
     QuantizedNetwork(Network& net, const Int8Calibration& calibration);
 
     /// Self-calibrating convenience: runs self_calibrate(net) first. Prefer
@@ -85,62 +78,38 @@ class QuantizedNetwork {
     /// Runs float forwards over `samples` (each shaped net.input_shape())
     /// and records every conv layer's input activation range. Folds batch
     /// norm first so the ranges match what quantized inference will see.
+    /// Throws std::logic_error on an already quantized network.
     [[nodiscard]] static Int8Calibration calibrate(Network& net,
                                                    std::span<const Tensor> samples);
 
-    /// calibrate() over a deterministic synthetic set (constant, ramp and
-    /// seeded-noise frames in [0, 1] at the network's current input shape) —
-    /// reproducible across replicas and runs.
+    /// calibrate() over probe_frames(net.input_shape()) — reproducible
+    /// across replicas and runs.
     [[nodiscard]] static Int8Calibration self_calibrate(Network& net);
 
-    /// Runs inference with int8 convolution arithmetic. `input` must match
-    /// net.input_shape() — re-batch or resize the source network first; the
-    /// quantized path follows its live geometry. Allocation-free after
-    /// construction for any batch size or degraded (smaller) input.
-    const Tensor& forward(const Tensor& input);
-
-    /// Decodes the region layer's detections for batch item `b` (after
-    /// forward).
-    [[nodiscard]] Detections decode(int b = 0) const;
-
-    [[nodiscard]] const std::vector<QuantizedConv>& layers() const noexcept {
-        return quantized_;
-    }
-    /// The float network this snapshot executes through.
+    /// The quantized network.
     [[nodiscard]] const Network& source() const noexcept { return net_; }
     [[nodiscard]] const Int8Calibration& calibration() const noexcept {
         return calibration_;
     }
 
-    /// Mean of mean_weight_error over all quantized layers — a forward-free,
-    /// const diagnostic of quantization quality.
+    /// Mean of the conv layers' mean_weight_error — a forward-free, const
+    /// diagnostic of quantization quality.
     [[nodiscard]] float mean_weight_error() const;
 
-    /// Bytes of weight storage: int8 vs the float network.
-    [[nodiscard]] std::size_t weight_bytes() const noexcept;
-    [[nodiscard]] std::size_t float_weight_bytes() const noexcept;
+    /// Bytes of conv weight storage: int8 vs the float network.
+    [[nodiscard]] std::size_t weight_bytes() const;
+    [[nodiscard]] std::size_t float_weight_bytes() const;
 
-    /// Times the scratch buffers (input/col/acc) have grown since construction.
-    /// Stays 0 across forwards at construction-time-or-smaller geometry —
-    /// the serving tier's allocation-free guarantee (grow-only, PR 4).
-    [[nodiscard]] std::int64_t scratch_grows() const noexcept { return scratch_grows_; }
+    /// Times the network's workspace has grown since quantization: 0 at
+    /// quantization-time-or-smaller geometry (allocation-free serving).
+    [[nodiscard]] std::int64_t scratch_grows() const noexcept {
+        return net_.workspace_grows() - grows_at_quantize_;
+    }
 
   private:
-    /// Grows (never shrinks) per-item scratch to the live layer geometry.
-    void ensure_scratch();
-    void forward_quantized_conv(const QuantizedConv& qc,
-                                const ConvolutionalLayer& conv,
-                                const Tensor& input, Tensor& output);
-
     Network& net_;
     Int8Calibration calibration_;
-    std::vector<QuantizedConv> quantized_;  ///< one per conv layer, in order
-    std::vector<const ConvolutionalLayer*> convs_;  ///< parallel to quantized_
-    // Per-item scratch reused across layers and batch items (grow-only).
-    std::vector<std::int8_t> in_i8_;   ///< the conv input, quantized once
-    std::vector<std::int8_t> col_i8_;  ///< its int8 im2col lowering
-    std::vector<std::int32_t> acc_;
-    std::int64_t scratch_grows_ = 0;
+    std::int64_t grows_at_quantize_ = 0;
 };
 
 }  // namespace dronet

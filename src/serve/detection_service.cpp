@@ -8,8 +8,8 @@
 #include "eval/evaluator.hpp"
 #include "fault/fault.hpp"
 #include "nn/clone.hpp"
+#include "nn/quantize.hpp"
 #include "nn/weights_io.hpp"
-#include "tensor/rng.hpp"
 
 namespace dronet::serve {
 
@@ -114,8 +114,7 @@ DetectionService::build_model_set(Network candidate) {
         }
         if (config_.int8) {
             if (i == 0) int8_calib = QuantizedNetwork::self_calibrate(*replica);
-            set->qnets.push_back(
-                std::make_unique<QuantizedNetwork>(*replica, int8_calib));
+            quantize_network(*replica, int8_calib);
         }
         replica->set_batch(1);
         set->replicas.push_back(std::move(replica));
@@ -285,11 +284,9 @@ void DetectionService::worker_loop(std::size_t worker_id) {
             // last worker moves on.
             const std::shared_ptr<const ModelSet> set = current_set();
             Network& net = *set->replicas[worker_id];
-            QuantizedNetwork* qnet =
-                set->qnets.empty() ? nullptr : set->qnets[worker_id].get();
             bool degraded_now = false;
             apply_degrade_mode(net, degraded_now);
-            process_batch(net, qnet, jobs, degraded_now);
+            process_batch(net, jobs, degraded_now);
         }
     } catch (const std::exception& e) {
         on_worker_death(slot, jobs, e.what());
@@ -342,8 +339,8 @@ void DetectionService::watchdog_loop() {
     }
 }
 
-Detections DetectionService::detect_with_retry(Network& net, QuantizedNetwork* qnet,
-                                               const Image& frame, const Job& job,
+Detections DetectionService::detect_with_retry(Network& net, const Image& frame,
+                                               const Job& job,
                                                DetectStageTimings* timings) {
     std::int64_t backoff = std::max<std::int64_t>(config_.retry_backoff_ms, 0);
     for (int attempt = 0;; ++attempt) {
@@ -352,7 +349,7 @@ Detections DetectionService::detect_with_retry(Network& net, QuantizedNetwork* q
             throw DeadlineExpired{};
         }
         try {
-            return detect_image_timed(net, frame, config_.pipeline.eval, timings, qnet);
+            return detect_image_timed(net, frame, config_.pipeline.eval, timings);
         } catch (const fault::WorkerKillFault&) {
             throw;  // unrecoverable: escalate to the worker loop / watchdog
         } catch (const std::logic_error&) {
@@ -374,8 +371,8 @@ Detections DetectionService::detect_with_retry(Network& net, QuantizedNetwork* q
 // to processing each frame alone. On a batch error every frame is retried
 // solo (with the configured transient-retry budget), so one bad or unlucky
 // frame never fails its batch-mates.
-void DetectionService::process_batch(Network& net, QuantizedNetwork* qnet,
-                                     std::vector<Job>& jobs, bool degraded) {
+void DetectionService::process_batch(Network& net, std::vector<Job>& jobs,
+                                     bool degraded) {
     const std::size_t n = jobs.size();
     stats_.record_batch(n);
     const auto popped = std::chrono::steady_clock::now();
@@ -387,7 +384,7 @@ void DetectionService::process_batch(Network& net, QuantizedNetwork* qnet,
     std::vector<Detections> dets;
     bool batch_ok = true;
     try {
-        dets = detect_images_timed(net, frames, config_.pipeline.eval, &stages, qnet);
+        dets = detect_images_timed(net, frames, config_.pipeline.eval, &stages);
     } catch (const fault::WorkerKillFault&) {
         throw;  // worker_loop fails the held jobs and marks the slot dead
     } catch (...) {
@@ -407,8 +404,7 @@ void DetectionService::process_batch(Network& net, QuantizedNetwork* qnet,
                                           .count();
             DetectStageTimings solo;
             try {
-                r.frame.detections =
-                    detect_with_retry(net, qnet, frames[i], job, &solo);
+                r.frame.detections = detect_with_retry(net, frames[i], job, &solo);
                 if (config_.pipeline.altitude_filter_enabled) {
                     const auto t0 = std::chrono::steady_clock::now();
                     r.frame.detections = altitude_filter_.apply(
@@ -566,39 +562,12 @@ ReloadOutcome DetectionService::rollback() {
     return roll_back_internal("explicit rollback");
 }
 
-// Deterministic synthetic canary batch, the same family of frames the int8
-// self-calibration uses: a constant, a low-frequency ramp, and seeded noise —
-// all in the [0,1] range real preprocessed imagery occupies.
+// Deterministic synthetic canary batch: the probe frames the int8
+// self-calibration uses (constants, a ramp and seeded noise in [0,1]).
 void DetectionService::run_canary(Network& candidate, Network& reference) {
     DRONET_FAULT_POINT(fault::kSiteReloadCanary);
-    const Shape in = reference.input_shape();
-    std::vector<Tensor> samples;
-    samples.emplace_back(in);
-    samples.back().fill(0.5f);
-    Tensor ramp(in);
-    for (int n = 0; n < in.n; ++n) {
-        for (int c = 0; c < in.c; ++c) {
-            for (int h = 0; h < in.h; ++h) {
-                for (int w = 0; w < in.w; ++w) {
-                    const float y = in.h > 1
-                                        ? static_cast<float>(h) / static_cast<float>(in.h - 1)
-                                        : 0.0f;
-                    const float x = in.w > 1
-                                        ? static_cast<float>(w) / static_cast<float>(in.w - 1)
-                                        : 0.0f;
-                    ramp[ramp.index(n, c, h, w)] = 0.5f * (x + y);
-                }
-            }
-        }
-    }
-    samples.push_back(std::move(ramp));
-    Tensor noise(in);
-    Rng rng(0x178cu);
-    rng.fill_uniform(noise.span(), 0.0f, 1.0f);
-    samples.push_back(std::move(noise));
-
     double max_div = 0;
-    for (const Tensor& x : samples) {
+    for (const Tensor& x : probe_frames(reference.input_shape())) {
         const Tensor& cand = candidate.forward(x);
         for (const float v : cand.span()) {
             if (!std::isfinite(v)) {

@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "nn/network.hpp"
-#include "nn/quantize.hpp"
 #include "serve/bounded_queue.hpp"
 #include "serve/serve_stats.hpp"
 #include "sync/mutex.hpp"
@@ -116,12 +115,12 @@ struct ServiceConfig {
     /// allocation-free (grow-only tensors). Required when
     /// degrade_high_watermark > 0.
     int degraded_size = 0;
-    /// Serve through the calibrated int8 path: each replica gets its own
-    /// QuantizedNetwork (private scratch), all sharing one calibration
-    /// computed once at construction (clones have identical weights, so the
-    /// activation ranges — and therefore detections — are identical across
-    /// replicas). Micro-batching and degraded-input switching work unchanged:
-    /// the quantized forward follows the replica's live geometry.
+    /// Serve through the calibrated int8 path: every replica is quantized
+    /// (quantize_network) with one calibration computed once per model set
+    /// (clones have identical weights, so the activation ranges — and
+    /// therefore detections — are identical across replicas). Micro-batching
+    /// and degraded-input switching work unchanged: the int8 convs follow the
+    /// replica's live geometry.
     bool int8 = false;
     /// Supervisor thread that respawns dead workers (replica preserved) and
     /// counts the restart in ServeStats. Leave on unless the process manages
@@ -252,25 +251,22 @@ class DetectionService {
     };
 
     /// One versioned generation of the serving model: per-worker replicas
-    /// (plus parallel QuantizedNetworks when int8) and a `reference` network
-    /// workers never touch — the canary baseline and the architecture source
+    /// (quantized when int8) and a float `reference` network workers never
+    /// touch — the canary baseline and the architecture source
     /// for the next candidate. Shared pointers let an in-flight batch finish
     /// on the generation it started with after a swap; the old generation is
     /// freed when its last worker releases it.
     struct ModelSet {
         std::uint64_t version = 0;
         std::vector<std::unique_ptr<Network>> replicas;
-        std::vector<std::unique_ptr<QuantizedNetwork>> qnets;
         std::unique_ptr<Network> reference;  ///< forwarded only under reload_mu_
     };
 
     void worker_loop(std::size_t worker_id);
     void on_worker_death(WorkerSlot& slot, std::vector<Job>& jobs, const char* what);
     void watchdog_loop();
-    void process_batch(Network& net, QuantizedNetwork* qnet, std::vector<Job>& jobs,
-                       bool degraded);
-    Detections detect_with_retry(Network& net, QuantizedNetwork* qnet,
-                                 const Image& frame, const Job& job,
+    void process_batch(Network& net, std::vector<Job>& jobs, bool degraded);
+    Detections detect_with_retry(Network& net, const Image& frame, const Job& job,
                                  DetectStageTimings* timings);
     void resolve(Job& job, ServeResult r);
     void expire_overdue(std::vector<Job>& jobs);

@@ -3,10 +3,11 @@
 // quantize_row / requant_row cross-level memcmp, quantization helpers
 // (including the non-finite-input regressions), the quantize-once int8
 // lowering against the float-col reference, per-image calibration against a
-// batch-N pass, calibrated QuantizedNetwork behavior across
-// batch sizes and input resolutions (allocation-free, bit-stable per item),
-// fuzzed degenerate weights through calibration, the int8 serving tier, and
-// the pretrained-checkpoint accuracy gate against fp32.
+// batch-N pass, quantized-network behavior through Network::forward across
+// batch sizes and input resolutions (allocation-free, bit-stable per item;
+// profiler, fault site and train guard), fuzzed degenerate weights through
+// calibration, the int8 serving tier, and the pretrained-checkpoint accuracy
+// gate against fp32.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,10 +23,12 @@
 #include "analysis/numerics.hpp"
 #include "data/dataset.hpp"
 #include "eval/evaluator.hpp"
+#include "fault/fault.hpp"
 #include "models/model_zoo.hpp"
 #include "models/pretrained.hpp"
 #include "nn/clone.hpp"
 #include "nn/quantize.hpp"
+#include "profile/profiler.hpp"
 #include "serve/detection_service.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/kernels.hpp"
@@ -49,6 +52,17 @@ std::vector<const simd::KernelTable*> runnable_tables() {
         tables.push_back(simd::avx2_kernel_table());
     }
     return tables;
+}
+
+/// The conv layers of `net` in order (their int8 snapshots once quantized).
+std::vector<ConvolutionalLayer*> conv_layers(Network& net) {
+    std::vector<ConvolutionalLayer*> convs;
+    for (std::size_t i = 0; i < net.num_layers(); ++i) {
+        if (auto* conv = dynamic_cast<ConvolutionalLayer*>(&net.layer(static_cast<int>(i)))) {
+            convs.push_back(conv);
+        }
+    }
+    return convs;
 }
 
 std::vector<std::int8_t> random_i8(Rng& rng, std::size_t n) {
@@ -297,7 +311,10 @@ TEST(Quantization, RequantRowBitExactAcrossLevels) {
 TEST(QuantizedNetwork, SnapshotsEveryConvLayer) {
     Network net = build_model(ModelId::kDroNet, {.input_size = 64, .filter_scale = 0.25f});
     QuantizedNetwork q(net);
-    EXPECT_EQ(q.layers().size(), 9u);  // DroNet's 9 convolutions
+    const std::vector<ConvolutionalLayer*> convs = conv_layers(net);
+    EXPECT_EQ(std::count_if(convs.begin(), convs.end(),
+                            [](const ConvolutionalLayer* c) { return c->quantized() != nullptr; }),
+              9);  // DroNet's 9 convolutions
     EXPECT_LT(q.weight_bytes(), q.float_weight_bytes() / 2);
     EXPECT_GT(q.mean_weight_error(), 0.0f);  // const, forward-free diagnostic
 }
@@ -305,9 +322,9 @@ TEST(QuantizedNetwork, SnapshotsEveryConvLayer) {
 TEST(QuantizedNetwork, SmallWeightQuantizationError) {
     Network net = build_model(ModelId::kDroNet, {.input_size = 64, .filter_scale = 0.25f});
     QuantizedNetwork q(net);
-    for (const QuantizedConv& qc : q.layers()) {
-        auto& conv = dynamic_cast<ConvolutionalLayer&>(net.layer(qc.layer_index));
-        const float err = qc.mean_weight_error(conv);
+    for (const ConvolutionalLayer* conv : conv_layers(net)) {
+        const QuantizedConv& qc = *conv->quantized();
+        const float err = conv->mean_weight_error();
         // Mean |error| bounded by half an LSB of the per-channel scale range.
         float max_scale = 0;
         for (float s : qc.scales) max_scale = std::max(max_scale, s);
@@ -339,7 +356,7 @@ TEST(QuantizedNetwork, BatchedForwardBitEqualsBatchOnePerItem) {
     for (int b = 0; b < kBatch; ++b) {
         Tensor in(net.input_shape());
         rng.fill_uniform(in.span(), 0.0f, 1.0f);
-        expected.push_back(q.forward(in));  // copy of the batch-1 output
+        expected.push_back(net.forward(in));  // copy of the batch-1 output
         singles.push_back(std::move(in));
     }
 
@@ -350,7 +367,7 @@ TEST(QuantizedNetwork, BatchedForwardBitEqualsBatchOnePerItem) {
         std::memcpy(batch.data() + b * in_chw, singles[static_cast<std::size_t>(b)].data(),
                     static_cast<std::size_t>(in_chw) * sizeof(float));
     }
-    const Tensor& out = q.forward(batch);
+    const Tensor& out = net.forward(batch);
     const std::int64_t out_chw = expected[0].size();
     ASSERT_EQ(out.size(), kBatch * out_chw);
     for (int b = 0; b < kBatch; ++b) {
@@ -361,33 +378,33 @@ TEST(QuantizedNetwork, BatchedForwardBitEqualsBatchOnePerItem) {
         }
     }
     // A stale batch-1 tensor no longer matches the live geometry.
-    EXPECT_THROW((void)q.forward(singles[0]), std::invalid_argument);
+    EXPECT_THROW((void)net.forward(singles[0]), std::invalid_argument);
     net.set_batch(1);
-    EXPECT_NO_THROW((void)q.forward(singles[0]));
+    EXPECT_NO_THROW((void)net.forward(singles[0]));
 }
 
 TEST(QuantizedNetwork, FollowsDegradedResize) {
-    // The serving degrade path shrinks the live input; the quantized forward
-    // follows the source network's geometry per call. fan_in is
-    // resize-invariant, so no re-quantization happens on the way.
+    // The serving degrade path shrinks the live input; each int8 conv
+    // follows its layer's live geometry. fan_in is resize-invariant, so no
+    // re-quantization happens on the way.
     Network net = build_model(ModelId::kDroNet, {.input_size = 64, .filter_scale = 0.25f});
     QuantizedNetwork q(net);
     net.resize_input(32, 32);
     Tensor small(net.input_shape());
     Rng rng(5);
     rng.fill_uniform(small.span(), 0.0f, 1.0f);
-    EXPECT_NO_THROW((void)q.forward(small));
-    EXPECT_EQ(q.decode().size(), 5u * 2 * 2);  // 5 anchors on the 2x2 grid
+    EXPECT_NO_THROW((void)net.forward(small));
+    EXPECT_EQ(net.region()->decode(0).size(), 5u * 2 * 2);  // 5 anchors on the 2x2 grid
     EXPECT_EQ(q.scratch_grows(), 0);  // smaller geometry reuses scratch
     net.resize_input(64, 64);
     Tensor full(net.input_shape());
     rng.fill_uniform(full.span(), 0.0f, 1.0f);
-    EXPECT_NO_THROW((void)q.forward(full));
-    EXPECT_EQ(q.decode().size(), 5u * 4 * 4);
+    EXPECT_NO_THROW((void)net.forward(full));
+    EXPECT_EQ(net.region()->decode(0).size(), 5u * 4 * 4);
 }
 
 TEST(QuantizedNetwork, ForwardIsAllocationFree) {
-    // Scratch is pre-sized at construction (grow-only, PR 4): forwards at the
+    // The workspace is sized at quantization (grow-only): forwards at the
     // construction geometry, any batch size, and smaller degraded inputs must
     // never reallocate. Growing the input is the one legitimate grow.
     Network net = build_model(ModelId::kDroNet, {.input_size = 64, .filter_scale = 0.25f});
@@ -397,26 +414,26 @@ TEST(QuantizedNetwork, ForwardIsAllocationFree) {
     Rng rng(17);
     Tensor in(net.input_shape());
     rng.fill_uniform(in.span(), 0.0f, 1.0f);
-    q.forward(in);
+    net.forward(in);
     EXPECT_EQ(q.scratch_grows(), 0);
 
     net.set_batch(4);  // per-item scratch: batch size never grows it
     Tensor batch(net.input_shape());
     rng.fill_uniform(batch.span(), 0.0f, 1.0f);
-    q.forward(batch);
+    net.forward(batch);
     EXPECT_EQ(q.scratch_grows(), 0);
 
     net.set_batch(1);
     net.resize_input(32, 32);
     Tensor small(net.input_shape());
     rng.fill_uniform(small.span(), 0.0f, 1.0f);
-    q.forward(small);
+    net.forward(small);
     EXPECT_EQ(q.scratch_grows(), 0);
 
     net.resize_input(128, 128);  // larger than construction: must grow
     Tensor big(net.input_shape());
     rng.fill_uniform(big.span(), 0.0f, 1.0f);
-    q.forward(big);
+    net.forward(big);
     EXPECT_GT(q.scratch_grows(), 0);
 }
 
@@ -440,9 +457,11 @@ TEST(QuantizedNetwork, PerLayerConvToleranceAtDroNetStageShapes) {
         Rng rng(static_cast<std::uint64_t>(100 + s.channels));
         rng.fill_uniform(in.span(), -1.0f, 1.0f);
 
-        QuantizedNetwork q(net, QuantizedNetwork::calibrate(net, std::span(&in, 1)));
-        const Tensor q_out = q.forward(in);
-        const Tensor& f_out = net.forward(in, /*train=*/false);
+        const Int8Calibration calib = QuantizedNetwork::calibrate(net, std::span(&in, 1));
+        Network ref = clone_network(net);
+        quantize_network(net, calib);
+        const Tensor q_out = net.forward(in);
+        const Tensor& f_out = ref.forward(in, /*train=*/false);
         ASSERT_EQ(q_out.shape(), f_out.shape());
         double err = 0, norm = 0;
         for (std::int64_t i = 0; i < f_out.size(); ++i) {
@@ -470,7 +489,8 @@ TEST(QuantizedNetwork, AllZeroWeightsSurviveCalibration) {
     Network net = build_model(ModelId::kDroNet, {.input_size = 64, .filter_scale = 0.25f});
     zero_conv_params(net);
     QuantizedNetwork q(net);
-    for (const QuantizedConv& qc : q.layers()) {
+    for (const ConvolutionalLayer* conv : conv_layers(net)) {
+        const QuantizedConv& qc = *conv->quantized();
         for (float s : qc.scales) EXPECT_FLOAT_EQ(s, 1.0f);
         EXPECT_TRUE(std::isfinite(qc.input_scale));
         EXPECT_GT(qc.input_scale, 0.0f);
@@ -478,7 +498,7 @@ TEST(QuantizedNetwork, AllZeroWeightsSurviveCalibration) {
     Tensor in(net.input_shape());
     Rng rng(23);
     rng.fill_uniform(in.span(), 0.0f, 1.0f);
-    const Tensor& out = q.forward(in);
+    const Tensor& out = net.forward(in);
     for (std::int64_t i = 0; i < out.size(); ++i) {
         ASSERT_TRUE(std::isfinite(out.data()[i])) << "element " << i;
     }
@@ -495,12 +515,13 @@ TEST(QuantizedNetwork, SingleHotChannelWeightsSurviveCalibration) {
     const int fan_in = static_cast<int>(first->weights().size()) / first->config().filters;
     for (int p = 0; p < fan_in; ++p) first->weights().v[static_cast<std::size_t>(p)] = 10.0f;
 
+    Network ref = clone_network(net);
     QuantizedNetwork q(net);
     Tensor in(net.input_shape());
     Rng rng(29);
     rng.fill_uniform(in.span(), 0.0f, 1.0f);
-    const Tensor q_out = q.forward(in);
-    const Tensor& f_out = net.forward(in, /*train=*/false);
+    const Tensor q_out = net.forward(in);
+    const Tensor& f_out = ref.forward(in, /*train=*/false);
     double err = 0, norm = 0;
     for (std::int64_t i = 0; i < f_out.size(); ++i) {
         ASSERT_TRUE(std::isfinite(q_out.data()[i])) << "element " << i;
@@ -518,11 +539,12 @@ TEST_P(QuantizedAgreement, CloseToFloatNetwork) {
     Rng rng(9);
     rng.fill_uniform(in.span(), 0.0f, 1.0f);
 
-    QuantizedNetwork q(net);  // folds BN in the float net too
-    const Tensor& qout = q.forward(in);
+    Network ref = clone_network(net);
+    QuantizedNetwork q(net);
+    const Tensor& qout = net.forward(in);
     Tensor q_copy = qout;
-    net.forward(in, /*train=*/false);
-    const Tensor& fout = net.region()->output();
+    ref.forward(in, /*train=*/false);
+    const Tensor& fout = ref.region()->output();
 
     ASSERT_EQ(q_copy.shape(), fout.shape());
     // Relative agreement: int8 inference stays close to float.
@@ -546,9 +568,30 @@ TEST(QuantizedNetwork, DecodeProducesSameGridOfDetections) {
     Rng rng(11);
     rng.fill_uniform(in.span(), 0.0f, 1.0f);
     QuantizedNetwork q(net);
-    q.forward(in);
-    const Detections dets = q.decode();
+    net.forward(in);
+    const Detections dets = net.region()->decode(0);
     EXPECT_EQ(dets.size(), 5u * 4 * 4);  // 5 anchors on the 4x4 grid
+}
+
+TEST(QuantizedNetwork, TrainingAndRecalibrationThrow) {
+    // Int8 convs have no backward, and calibrating an int8 network would
+    // record int8 ranges: both are refused instead of running.
+    Network net = build_model(ModelId::kDroNet, {.input_size = 64, .filter_scale = 0.25f});
+    QuantizedNetwork q(net);
+    Tensor in(net.input_shape());
+    EXPECT_THROW((void)net.forward(in, /*train=*/true), std::logic_error);
+    EXPECT_THROW((void)QuantizedNetwork::self_calibrate(net), std::logic_error);
+}
+
+TEST(QuantizedNetwork, ForwardFaultSiteFiresOnInt8) {
+    // The int8 forward is Network::forward, so it passes the
+    // network.forward fault site like a float forward.
+    if (!fault::compiled_in()) GTEST_SKIP() << "DRONET_FAULTS is off";
+    Network net = build_model(ModelId::kDroNet, {.input_size = 64, .filter_scale = 0.25f});
+    QuantizedNetwork q(net);
+    Tensor in(net.input_shape());
+    const fault::ScopedFaultPlan plan("network.forward:throw");
+    EXPECT_THROW((void)net.forward(in), fault::FaultInjected);
 }
 
 // ---- quantize-once int8 lowering vs the float-col reference ----------------
@@ -580,9 +623,10 @@ TEST_P(QuantizedLowering, MatchesFloatColReferenceBitwise) {
     Rng rng(0x10a);
     rng.fill_uniform(in.span(), -1.0f, 1.0f);
     QuantizedNetwork q(net, QuantizedNetwork::calibrate(net, std::span(&in, 1)));
-    const Tensor out = q.forward(in);
+    const Tensor out = net.forward(in);
 
-    const QuantizedConv& qc = q.layers().at(0);
+    const auto& conv = dynamic_cast<const ConvolutionalLayer&>(net.layer(0));
+    const QuantizedConv& qc = *conv.quantized();
     const ConvGeometry geo{lc.channels, lc.height, lc.width, lc.conv.ksize,
                            lc.conv.stride, lc.conv.pad};
     const int rows = geo.col_rows();
@@ -605,17 +649,18 @@ TEST_P(QuantizedLowering, MatchesFloatColReferenceBitwise) {
         ASSERT_EQ(0, std::memcmp(col_new.data(), col_ref.data(), col_size))
             << lc.name << " item " << b;
 
-        std::vector<std::int32_t> acc(static_cast<std::size_t>(qc.config.filters) * cols);
-        gemm_i8(qc.config.filters, cols, rows, qc.weights.data(), rows, col_ref.data(), cols,
+        const int filters = conv.config().filters;
+        std::vector<std::int32_t> acc(static_cast<std::size_t>(filters) * cols);
+        gemm_i8(filters, cols, rows, qc.weights.data(), rows, col_ref.data(), cols,
                 acc.data(), cols);
         const float* out_b = out.data() + b * out.shape().chw();
-        for (int f = 0; f < qc.config.filters; ++f) {
+        for (int f = 0; f < filters; ++f) {
             for (int j = 0; j < cols; ++j) {
                 const float want = activate(
-                    qc.config.activation,
+                    conv.config().activation,
                     static_cast<float>(acc[static_cast<std::size_t>(f) * cols + j]) *
                             qc.requant[static_cast<std::size_t>(f)] +
-                        qc.biases[static_cast<std::size_t>(f)]);
+                        conv.biases().v[static_cast<std::size_t>(f)]);
                 const float got = out_b[static_cast<std::int64_t>(f) * cols + j];
                 ASSERT_EQ(0, std::memcmp(&got, &want, sizeof(float)))
                     << lc.name << " item " << b << " filter " << f << " column " << j;
@@ -742,6 +787,37 @@ TEST(QuantizedService, Int8ServesThroughDegradeCycle) {
     }
 }
 
+TEST(QuantizedService, ProfileReportsCoverInt8Replicas) {
+    // Int8 replicas forward through Network::forward, so their profilers
+    // record every layer. Profiling starts after construction, which runs
+    // the float calibration forwards.
+    Network net = build_model(ModelId::kDroNet, {.input_size = 64, .filter_scale = 0.25f});
+    serve::ServiceConfig sc;
+    sc.workers = 2;
+    sc.queue_capacity = 8;
+    sc.max_batch = 2;
+    sc.int8 = true;
+    DetectionService service(net, sc);
+    profile::set_profiling(true);
+    const DetectionDataset frames = generate_dataset(benchmark_scene_config(64), 4, /*seed=*/7);
+    std::vector<std::future<ServeResult>> futures;
+    for (std::size_t i = 0; i < frames.size(); ++i) futures.push_back(service.submit(frames.image(i)));
+    service.drain();
+    profile::set_profiling(false);
+    for (auto& f : futures) EXPECT_EQ(f.get().status, ServeStatus::kOk);
+
+    const std::vector<std::string> reports = service.profile_reports();
+    ASSERT_FALSE(reports.empty());
+    for (const std::string& report : reports) {
+        std::size_t rows = 0;
+        for (std::size_t at = report.find("\"index\":"); at != std::string::npos;
+             at = report.find("\"index\":", at + 1)) {
+            ++rows;
+        }
+        EXPECT_EQ(rows, net.num_layers()) << report;
+    }
+}
+
 // ---- accuracy gate ----------------------------------------------------------
 
 TEST(QuantizedNetwork, CheckpointMetricsCloseToFp32) {
@@ -760,8 +836,8 @@ TEST(QuantizedNetwork, CheckpointMetricsCloseToFp32) {
     for (std::size_t i = 0; i < test_set.size() && i < 8; ++i) {
         calib_frames.push_back(test_set.image(i));
     }
-    QuantizedNetwork q(*net, calibrate_int8(*net, calib_frames, {}));
-    const DetectionMetrics int8 = evaluate_detector(*net, test_set, {}, &q);
+    quantize_network(*net, calibrate_int8(*net, calib_frames, {}));
+    const DetectionMetrics int8 = evaluate_detector(*net, test_set, {});
 
     // Int8 rounding may move individual scores across thresholds but must not
     // change the operating point materially.

@@ -4,18 +4,24 @@
 // `--flag` tokens of the tool's --help output are the same set (and that
 // --help itself exits 0). This is what keeps kUsage and the parser from
 // drifting apart — adding a flag without documenting it, or deleting a flag
-// from the parser but not from the help text, fails here.
+// from the parser but not from the help text, fails here. End-to-end runs
+// pin tool behaviour that only shows in the output (detect --profile) and
+// the serve_bench fleet driver.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <regex>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "data/dataset.hpp"
+#include "image/ppm.hpp"
 
 #ifndef DRONET_DETECT_PATH
 #define DRONET_DETECT_PATH ""
@@ -132,6 +138,38 @@ TEST(ToolsCli, UnknownFlagIsAnError) {
         EXPECT_NE(r.output.find(retired), std::string::npos)
             << binary << " did not name the flag: " << r.output;
     }
+}
+
+TEST(ToolsCli, DetectInt8ProfileShowsTheInt8Forward) {
+    // --batch 3 over three frames is one batched forward, so every conv row
+    // of the --profile table reports 1 call: the calibration's float
+    // forwards (one per frame) are not in the table.
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() / "dronet_detect_int8_profile";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const dronet::DetectionDataset frames =
+        dronet::generate_dataset(dronet::benchmark_scene_config(96), 3, /*seed=*/0x11);
+    std::string paths;
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+        const fs::path p = dir / ("frame" + std::to_string(i) + ".ppm");
+        dronet::write_ppm(frames.image(i), p);
+        paths += " " + p.string();
+    }
+    const ToolRun r = run_tool("cd " + dir.string() + " && " + DRONET_DETECT_PATH +
+                               " --size 96 --int8 --profile --batch 3" + paths + " 2>&1");
+    ASSERT_EQ(r.exit_code, 0) << r.output;
+    static const std::regex kConvRow(R"(^\d+\s+conv\s+(\d+)\s)");
+    int conv_rows = 0;
+    std::istringstream lines(r.output);
+    for (std::string line; std::getline(lines, line);) {
+        std::smatch m;
+        if (!std::regex_search(line, m, kConvRow)) continue;
+        ++conv_rows;
+        EXPECT_EQ(m[1].str(), "1") << line;
+    }
+    EXPECT_EQ(conv_rows, 9) << r.output;  // DroNet's 9 convolutions
+    fs::remove_all(dir);
 }
 
 // serve_bench --cluster end to end: real Router + spawned serve_worker

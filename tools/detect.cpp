@@ -19,7 +19,6 @@
 // checkpoint from the weights/ directory (if present).
 #include <algorithm>
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -110,7 +109,6 @@ int run(int argc, char** argv) {
         }
     }
 
-    std::optional<QuantizedNetwork> qnet;
     if (int8) {
         // Calibrate on the input imagery itself — the most representative
         // sample set this tool can get (docs/quantization.md).
@@ -118,9 +116,10 @@ int run(int argc, char** argv) {
         for (std::size_t i = 0; i < images.size() && i < 8; ++i) {
             calib_frames.push_back(read_ppm(images[i]));
         }
-        qnet.emplace(net, calibrate_int8(net, calib_frames, post));
-        std::printf("# int8: calibrated on %zu frame(s); conv weights %zu -> %zu bytes\n",
-                    calib_frames.size(), qnet->float_weight_bytes(), qnet->weight_bytes());
+        quantize_network(net, calibrate_int8(net, calib_frames, post));
+        // The profile table shows the int8 forwards, not the calibration's.
+        if (net.profiler() != nullptr) net.profiler()->reset();
+        std::printf("# int8: calibrated on %zu frame(s)\n", calib_frames.size());
     }
 
     for (std::size_t start = 0; start < images.size();
@@ -132,8 +131,7 @@ int run(int argc, char** argv) {
         for (std::size_t i = 0; i < count; ++i) {
             chunk.push_back(read_ppm(images[start + i]));
         }
-        const std::vector<Detections> results = detect_images_timed(
-            net, chunk, post, nullptr, qnet ? &*qnet : nullptr);
+        const std::vector<Detections> results = detect_images(net, chunk, post);
         for (std::size_t i = 0; i < count; ++i) {
             const std::string& path = images[start + i];
             const Detections& dets = results[i];
