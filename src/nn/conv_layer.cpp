@@ -63,7 +63,10 @@ void ConvolutionalLayer::setup(const Shape& input) {
     }
     output_shape_ = Shape{input.n, config_.filters, geo_.out_h(), geo_.out_w()};
     output_.resize(output_shape_);
-    delta_.resize(output_shape_);
+}
+
+void ConvolutionalLayer::size_training_buffers() {
+    Layer::size_training_buffers();
     if (config_.batch_normalize) x_norm_.resize(output_shape_);
 }
 

@@ -41,6 +41,7 @@ class ConvolutionalLayer final : public Layer {
     [[nodiscard]] LayerKind kind() const override { return LayerKind::kConvolutional; }
     [[nodiscard]] std::string describe() const override;
     void setup(const Shape& input) override;
+    void size_training_buffers() override;
     void forward(const Tensor& input, Network& net, bool train) override;
     void backward(const Tensor& input, Tensor* input_delta, Network& net) override;
     [[nodiscard]] std::vector<Param*> params() override;

@@ -15,6 +15,8 @@ std::string to_string(LayerKind kind) {
     return "?";
 }
 
+void Layer::size_training_buffers() { delta_.resize(output_shape_); }
+
 std::int64_t Layer::param_count() const {
     std::int64_t total = 0;
     for (const Param* p : const_cast<Layer*>(this)->params()) {

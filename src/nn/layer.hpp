@@ -1,9 +1,9 @@
 // Abstract layer interface of the CNN engine.
 //
-// Layers own their output activation tensor and (during training) a delta
-// tensor holding dLoss/dOutput. The Network drives forward/backward passes
-// and provides the shared im2col workspace, mirroring darknet's execution
-// model which the paper's models were deployed with.
+// Layers own their output activation tensor and (once a training forward
+// has run) a delta tensor holding dLoss/dOutput. The Network drives
+// forward/backward passes and provides the shared im2col workspace, mirroring
+// darknet's execution model which the paper's models were deployed with.
 #pragma once
 
 #include <cstdint>
@@ -60,9 +60,14 @@ class Layer {
     /// (e.g. "conv  16 3x3/1  416x416x3 -> 416x416x16").
     [[nodiscard]] virtual std::string describe() const = 0;
 
-    /// Computes the output shape for `input` and (re)allocates buffers.
-    /// Called at construction and again by Network::resize().
+    /// Computes the output shape for `input` and (re)allocates the buffers a
+    /// forward needs. Called at construction and again by Network::resize().
     virtual void setup(const Shape& input) = 0;
+
+    /// Sizes, grow-only, the buffers only training uses: the delta and any
+    /// cache backward() reads. Network::forward(train = true) calls it before
+    /// the layer runs; an inference-only network never allocates them.
+    virtual void size_training_buffers();
 
     [[nodiscard]] const Shape& input_shape() const noexcept { return input_shape_; }
     [[nodiscard]] const Shape& output_shape() const noexcept { return output_shape_; }
@@ -78,6 +83,7 @@ class Layer {
 
     [[nodiscard]] const Tensor& output() const noexcept { return output_; }
     [[nodiscard]] Tensor& output() noexcept { return output_; }
+    /// dLoss/dOutput; empty until a training forward sized it.
     [[nodiscard]] Tensor& delta() noexcept { return delta_; }
 
     /// Trainable parameter blocks (empty for parameter-free layers).

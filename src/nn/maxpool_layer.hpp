@@ -24,6 +24,7 @@ class MaxPoolLayer final : public Layer {
     [[nodiscard]] LayerKind kind() const override { return LayerKind::kMaxPool; }
     [[nodiscard]] std::string describe() const override;
     void setup(const Shape& input) override;
+    void size_training_buffers() override;
     void forward(const Tensor& input, Network& net, bool train) override;
     void backward(const Tensor& input, Tensor* input_delta, Network& net) override;
     [[nodiscard]] std::int64_t flops() const override;
@@ -33,7 +34,8 @@ class MaxPoolLayer final : public Layer {
   private:
     MaxPoolConfig config_;
     int pad_ = 0;
-    std::vector<std::int64_t> argmax_;  ///< winning input index per output element
+    /// Winning input index per output element; training forwards only.
+    std::vector<std::int64_t> argmax_;
 };
 
 }  // namespace dronet

@@ -103,11 +103,13 @@ const Tensor& Network::forward(const Tensor& input, bool train) {
         prof = profiler_.get();
     }
     profile::ScopedForwardTimer forward_timer(prof);
+    last_forward_trained_ = false;
     // The input snapshot only feeds backward(); inference skips the copy.
     if (train) input_copy_ = input;
     const Tensor* x = train ? &input_copy_ : &input;
     for (std::size_t i = 0; i < layers_.size(); ++i) {
         Layer& l = *layers_[i];
+        if (train) l.size_training_buffers();
         {
             profile::ScopedLayerTimer timer(prof, static_cast<int>(i),
                                             to_string(l.kind()), l.flops());
@@ -118,11 +120,16 @@ const Tensor& Network::forward(const Tensor& input, bool train) {
         }
         x = &l.output();
     }
+    last_forward_trained_ = train;
     return *x;
 }
 
 void Network::backward() {
     if (layers_.empty()) return;
+    if (!last_forward_trained_) {
+        throw std::logic_error(
+            "Network::backward: the last forward was not a training forward");
+    }
     // Clear deltas of all but the last layer (whose delta holds dL/dOut, set
     // by the region layer's loss).
     for (std::size_t i = 0; i + 1 < layers_.size(); ++i) layers_[i]->delta().zero();
@@ -174,6 +181,7 @@ void Network::resize_input(int width, int height) {
     }
     config_.width = width;
     config_.height = height;
+    last_forward_trained_ = false;
     Shape in = input_shape();
     for (std::size_t i = 0; i < layers_.size(); ++i) {
         if (auto* route = dynamic_cast<RouteLayer*>(layers_[i].get())) {

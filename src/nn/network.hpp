@@ -61,11 +61,15 @@ class Network {
 
     // ---- execution ----------------------------------------------------------
     /// Runs all layers; returns the last layer's output. The input shape must
-    /// equal input_shape().
+    /// equal input_shape(). `train` also sizes each layer's training buffers
+    /// (Layer::size_training_buffers) before it runs.
     const Tensor& forward(const Tensor& input, bool train = false);
 
     /// Backpropagates from the last layer's delta (set by the region layer's
     /// loss) down to the first layer, accumulating parameter gradients.
+    /// Throws std::logic_error unless the last forward was a training forward
+    /// (only that sizes the deltas and caches backward reads) at the
+    /// current input size.
     void backward();
 
     /// Applies one SGD step at the current schedule position and advances the
@@ -152,6 +156,7 @@ class Network {
     std::size_t workspace_bytes_ = 0;
     std::int64_t workspace_grows_ = 0;
     Tensor input_copy_;  ///< retained for backward()
+    bool last_forward_trained_ = false;  ///< backward() is valid
     std::int64_t batch_num_ = 0;
     std::unique_ptr<profile::ForwardProfiler> profiler_;
 };

@@ -39,7 +39,6 @@ void RegionLayer::setup(const Shape& input) {
     input_shape_ = input;
     output_shape_ = input;
     output_.resize(output_shape_);
-    delta_.resize(output_shape_);
 }
 
 std::string RegionLayer::describe() const {

@@ -30,6 +30,7 @@
 #include <filesystem>
 #include <future>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -157,6 +158,13 @@ struct ReloadOutcome {
     std::uint64_t model_version = 0;
     std::string error;  ///< empty on success
 };
+
+/// The CPUs that worker `index` of `workers` is confined to: every
+/// `workers`-th entry of `allowed` (the process's CPUs, ascending), so no two
+/// workers share a CPU and each keeps at least two. Empty, meaning "leave the
+/// worker unconfined", for a single worker or fewer than two CPUs per worker.
+[[nodiscard]] std::vector<int> worker_cpu_share(std::span<const int> allowed, int index,
+                                                int workers);
 
 class DetectionService {
   public:

@@ -1,10 +1,12 @@
 // AVX2/FMA instantiation of the kernel templates plus the hand-written
-// GEMM micro-kernel and int8 kernels. This TU — and only this TU — is
-// compiled with -mavx2 -mfma (src/simd/CMakeLists.txt); nothing here
+// GEMM micro-kernel, 2x2 max-pool and int8 kernels. This TU — and only this
+// TU — is compiled with -mavx2 -mfma (src/simd/CMakeLists.txt); nothing here
 // may be called before dispatch has confirmed the CPU capability.
 #include "simd/kernels.hpp"
 
 #include <immintrin.h>
+
+#include <cfloat>
 
 #include "simd/kernels_impl.hpp"
 #include "simd/vec_avx2.hpp"
@@ -12,49 +14,78 @@
 namespace dronet::simd {
 namespace {
 
-/// Full 4x16 tile with FMA accumulators: 8 ymm accumulators (4 rows x 2
-/// halves), one B-row load pair amortized over four broadcast A values —
-/// the vector mirror of tensor/gemm.cpp's micro_full_direct/_packed.
-void gemm_micro_4x16_fma(const float* ap, const float* b, std::int64_t b_stride,
-                         int k, float alpha, float beta, float* c,
-                         std::int64_t ldc) {
-    __m256 acc00 = _mm256_setzero_ps(), acc01 = _mm256_setzero_ps();
-    __m256 acc10 = _mm256_setzero_ps(), acc11 = _mm256_setzero_ps();
-    __m256 acc20 = _mm256_setzero_ps(), acc21 = _mm256_setzero_ps();
-    __m256 acc30 = _mm256_setzero_ps(), acc31 = _mm256_setzero_ps();
+/// One C tile of MR (<= 4) rows by 16 columns with FMA accumulators: 2*MR
+/// ymm accumulators (MR rows x 2 halves), one B-row load pair amortized over
+/// MR broadcast A values — the vector mirror of tensor/gemm.cpp's
+/// micro_full/micro_edge. kMaskCols tiles (nr < 16) load B and load/store C
+/// through the lane masks m0/m1, so no column past the tile is touched; their
+/// masked-off lanes accumulate zeros that are never stored. Each element the
+/// tile covers gets the same operation sequence whatever its tile shape.
+template <int MR, bool kMaskCols>
+void gemm_tile_fma(const float* ap, const float* b, std::int64_t b_stride, int k,
+                   float alpha, float beta, float* c, std::int64_t ldc, __m256i m0,
+                   __m256i m1) {
+    __m256 acc[MR][2];
+#pragma GCC unroll 4
+    for (int r = 0; r < MR; ++r) acc[r][0] = acc[r][1] = _mm256_setzero_ps();
     for (int kk = 0; kk < k; ++kk) {
         const float* brow = b + static_cast<std::int64_t>(kk) * b_stride;
-        const __m256 b0 = _mm256_loadu_ps(brow);
-        const __m256 b1 = _mm256_loadu_ps(brow + 8);
-        const __m256 a0 = _mm256_broadcast_ss(ap + 0);
-        const __m256 a1 = _mm256_broadcast_ss(ap + 1);
-        const __m256 a2 = _mm256_broadcast_ss(ap + 2);
-        const __m256 a3 = _mm256_broadcast_ss(ap + 3);
+        const __m256 b0 = kMaskCols ? _mm256_maskload_ps(brow, m0) : _mm256_loadu_ps(brow);
+        const __m256 b1 =
+            kMaskCols ? _mm256_maskload_ps(brow + 8, m1) : _mm256_loadu_ps(brow + 8);
+#pragma GCC unroll 4
+        for (int r = 0; r < MR; ++r) {
+            const __m256 a = _mm256_broadcast_ss(ap + r);
+            acc[r][0] = _mm256_fmadd_ps(a, b0, acc[r][0]);
+            acc[r][1] = _mm256_fmadd_ps(a, b1, acc[r][1]);
+        }
         ap += 4;
-        acc00 = _mm256_fmadd_ps(a0, b0, acc00);
-        acc01 = _mm256_fmadd_ps(a0, b1, acc01);
-        acc10 = _mm256_fmadd_ps(a1, b0, acc10);
-        acc11 = _mm256_fmadd_ps(a1, b1, acc11);
-        acc20 = _mm256_fmadd_ps(a2, b0, acc20);
-        acc21 = _mm256_fmadd_ps(a2, b1, acc21);
-        acc30 = _mm256_fmadd_ps(a3, b0, acc30);
-        acc31 = _mm256_fmadd_ps(a3, b1, acc31);
     }
     const __m256 va = _mm256_set1_ps(alpha);
     const __m256 vb = _mm256_set1_ps(beta);
-    const __m256 accs[4][2] = {
-        {acc00, acc01}, {acc10, acc11}, {acc20, acc21}, {acc30, acc31}};
-    for (int r = 0; r < 4; ++r) {
+#pragma GCC unroll 4
+    for (int r = 0; r < MR; ++r) {
         float* crow = c + static_cast<std::int64_t>(r) * ldc;
         for (int h = 0; h < 2; ++h) {
             float* cp = crow + 8 * h;
+            const __m256i mask = h == 0 ? m0 : m1;
             // alpha*acc + beta*c, beta multiplying whatever C holds — the
             // same expression the scalar write_tile evaluates.
-            const __m256 cv = _mm256_loadu_ps(cp);
-            _mm256_storeu_ps(
-                cp, _mm256_add_ps(_mm256_mul_ps(va, accs[r][h]),
-                                  _mm256_mul_ps(vb, cv)));
+            const __m256 cv = kMaskCols ? _mm256_maskload_ps(cp, mask) : _mm256_loadu_ps(cp);
+            const __m256 v =
+                _mm256_add_ps(_mm256_mul_ps(va, acc[r][h]), _mm256_mul_ps(vb, cv));
+            if (kMaskCols) {
+                _mm256_maskstore_ps(cp, mask, v);
+            } else {
+                _mm256_storeu_ps(cp, v);
+            }
         }
+    }
+}
+
+template <int MR>
+void gemm_rows_fma(const float* ap, const float* b, std::int64_t b_stride, int k,
+                   float alpha, float beta, float* c, std::int64_t ldc, int nr) {
+    if (nr == 16) {
+        const __m256i all = _mm256_set1_epi32(-1);
+        gemm_tile_fma<MR, false>(ap, b, b_stride, k, alpha, beta, c, ldc, all, all);
+        return;
+    }
+    // Lane i of the mask pair is live when i < nr.
+    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    const __m256i m0 = _mm256_cmpgt_epi32(_mm256_set1_epi32(nr), lane);
+    const __m256i m1 = _mm256_cmpgt_epi32(_mm256_set1_epi32(nr - 8), lane);
+    gemm_tile_fma<MR, true>(ap, b, b_stride, k, alpha, beta, c, ldc, m0, m1);
+}
+
+void gemm_micro_4x16_fma(const float* ap, const float* b, std::int64_t b_stride,
+                         int k, float alpha, float beta, float* c,
+                         std::int64_t ldc, int mr, int nr) {
+    switch (mr) {
+        case 4: gemm_rows_fma<4>(ap, b, b_stride, k, alpha, beta, c, ldc, nr); break;
+        case 3: gemm_rows_fma<3>(ap, b, b_stride, k, alpha, beta, c, ldc, nr); break;
+        case 2: gemm_rows_fma<2>(ap, b, b_stride, k, alpha, beta, c, ldc, nr); break;
+        default: gemm_rows_fma<1>(ap, b, b_stride, k, alpha, beta, c, ldc, nr); break;
     }
 }
 
@@ -226,6 +257,32 @@ void requant_row_avx2(const std::int32_t* acc, std::size_t n, float requant,
     for (; i < n; ++i) dst[i] = impl::requant_one(acc[i], requant, bias);
 }
 
+/// 2x2/s2 max-pool, 8 outputs per step. Each row's 16 inputs are split into
+/// even and odd taps with shuffle_ps, which leaves the outputs in the lane
+/// order 0 1 4 5 | 2 3 6 7 for all four taps alike; the max is lane-wise, so
+/// one 64-bit permute at the end restores the order. max_ps(tap, best)
+/// returns best unless tap > best (also for NaN and equal zeros): the
+/// reference fold lane by lane.
+void maxpool2x2_row_avx2(const float* r0, const float* r1, std::size_t out_w,
+                         float* dst) {
+    const __m256 lowest = _mm256_set1_ps(-FLT_MAX);
+    std::size_t x = 0;
+    for (; x + 8 <= out_w; x += 8) {
+        const __m256 a0 = _mm256_loadu_ps(r0 + 2 * x);
+        const __m256 a1 = _mm256_loadu_ps(r0 + 2 * x + 8);
+        const __m256 b0 = _mm256_loadu_ps(r1 + 2 * x);
+        const __m256 b1 = _mm256_loadu_ps(r1 + 2 * x + 8);
+        __m256 best = _mm256_max_ps(_mm256_shuffle_ps(a0, a1, _MM_SHUFFLE(2, 0, 2, 0)), lowest);
+        best = _mm256_max_ps(_mm256_shuffle_ps(a0, a1, _MM_SHUFFLE(3, 1, 3, 1)), best);
+        best = _mm256_max_ps(_mm256_shuffle_ps(b0, b1, _MM_SHUFFLE(2, 0, 2, 0)), best);
+        best = _mm256_max_ps(_mm256_shuffle_ps(b0, b1, _MM_SHUFFLE(3, 1, 3, 1)), best);
+        const __m256d ordered =
+            _mm256_permute4x64_pd(_mm256_castps_pd(best), _MM_SHUFFLE(3, 1, 2, 0));
+        _mm256_storeu_ps(dst + x, _mm256_castpd_ps(ordered));
+    }
+    for (; x < out_w; ++x) dst[x] = impl::maxpool2x2_one(r0 + 2 * x, r1 + 2 * x);
+}
+
 constexpr KernelTable kAvx2Table = {
     impl::copy_row<VecAvx2>,
     impl::add_bias_row<VecAvx2>,
@@ -239,6 +296,7 @@ constexpr KernelTable kAvx2Table = {
     gemm_i8_4rows_avx2,
     quantize_row_avx2,
     requant_row_avx2,
+    maxpool2x2_row_avx2,
 };
 
 }  // namespace

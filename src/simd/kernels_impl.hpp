@@ -6,6 +6,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -25,6 +26,15 @@ inline std::int8_t quantize_one(float x, float scale) noexcept {
 /// rounded (the library builds with -ffp-contract=off).
 inline float requant_one(std::int32_t acc, float requant, float bias) noexcept {
     return static_cast<float>(acc) * requant + bias;
+}
+
+/// The 2x2/s2 max-pool's per-window reference: taps (0,0), (0,1), (1,0),
+/// (1,1) folded from -FLT_MAX with `tap > best`, the generic pool loop's
+/// order and comparison. Every level's maxpool2x2_row evaluates exactly this.
+inline float maxpool2x2_one(const float* r0, const float* r1) noexcept {
+    float best = -FLT_MAX;
+    for (const float tap : {r0[0], r0[1], r1[0], r1[1]}) best = tap > best ? tap : best;
+    return best;
 }
 
 template <class V>

@@ -1,6 +1,6 @@
 // Scalar instantiation of the kernel templates — the always-available,
 // bit-exact dispatch level. gemm_micro_4x16 stays null: tensor/gemm.cpp keeps
-// its reference micro-kernel loop on this level.
+// its reference micro-kernel loops on this level.
 #include "simd/kernels.hpp"
 
 #include <algorithm>
@@ -42,6 +42,13 @@ void requant_row_scalar(const std::int32_t* acc, std::size_t n, float requant,
     for (std::size_t i = 0; i < n; ++i) dst[i] = impl::requant_one(acc[i], requant, bias);
 }
 
+void maxpool2x2_row_scalar(const float* r0, const float* r1, std::size_t out_w,
+                           float* dst) {
+    for (std::size_t x = 0; x < out_w; ++x) {
+        dst[x] = impl::maxpool2x2_one(r0 + 2 * x, r1 + 2 * x);
+    }
+}
+
 constexpr KernelTable kScalarTable = {
     impl::copy_row<VecScalar>,
     impl::add_bias_row<VecScalar>,
@@ -55,6 +62,7 @@ constexpr KernelTable kScalarTable = {
     gemm_i8_4rows_scalar,
     quantize_row_scalar,
     requant_row_scalar,
+    maxpool2x2_row_scalar,
 };
 
 }  // namespace

@@ -19,6 +19,11 @@ std::atomic<int> g_gemm_threads{1};
 constexpr int kMr = 4;
 constexpr int kNr = 16;
 
+// Columns per cache block (!trans_b): the k x kNc stripe of B stays cache
+// resident while every row tile sweeps it, instead of each row tile
+// streaming all of B (the 28 MB stem col matrix at 512) again.
+constexpr int kNc = 256;
+
 // Problems below this many multiply-accumulates run serially: a trip through
 // the pool queue costs a few microseconds, which such calls finish in anyway.
 constexpr std::int64_t kMinParallelMacs = 16 * 1024;
@@ -97,7 +102,11 @@ void pack_b(const GemmArgs& g, int j0, int nr, float* dst) {
 // order into a fresh float accumulator and finishes with
 //   c = alpha * acc + beta * c
 // which is the exact operation sequence of gemm_naive — hence bit-exact
-// results, independent of tiling and thread count.
+// results on the scalar level, independent of tiling and thread count. The
+// AVX2 tile (simd gemm_micro_4x16) fuses each multiply-add, for full and edge
+// tiles alike, so there too a C element's value does not depend on its tile.
+// Both kernels read B row kk at b + kk*b_stride: the matrix in place
+// (!trans_b) or a packed kNr-wide panel (trans_b).
 
 void write_tile(const GemmArgs& g, const float acc[kMr][kNr], int i0, int j0,
                 int mr, int nr) {
@@ -109,12 +118,12 @@ void write_tile(const GemmArgs& g, const float acc[kMr][kNr], int i0, int j0,
     }
 }
 
-/// Full 4x16 tile, B read in place (row-major, !trans_b).
-void micro_full_direct(const GemmArgs& g, const float* ap, int i0, int j0) {
+/// Full 4x16 tile.
+void micro_full(const GemmArgs& g, const float* ap, const float* b,
+                std::int64_t b_stride, int i0, int j0) {
     float acc[kMr][kNr] = {};
-    const float* b = g.b + j0;
     for (int kk = 0; kk < g.k; ++kk) {
-        const float* brow = b + static_cast<std::int64_t>(kk) * g.ldb;
+        const float* brow = b + static_cast<std::int64_t>(kk) * b_stride;
         const float a0 = ap[0];
         const float a1 = ap[1];
         const float a2 = ap[2];
@@ -131,36 +140,12 @@ void micro_full_direct(const GemmArgs& g, const float* ap, int i0, int j0) {
     write_tile(g, acc, i0, j0, kMr, kNr);
 }
 
-/// Full 4x16 tile against a packed B panel (trans_b path).
-void micro_full_packed(const GemmArgs& g, const float* ap, const float* bp,
-                       int i0, int j0) {
+/// Edge tile (mr < kMr and/or nr < kNr).
+void micro_edge(const GemmArgs& g, const float* ap, const float* b,
+                std::int64_t b_stride, int i0, int j0, int mr, int nr) {
     float acc[kMr][kNr] = {};
     for (int kk = 0; kk < g.k; ++kk) {
-        const float* brow = bp + static_cast<std::int64_t>(kk) * kNr;
-        const float a0 = ap[0];
-        const float a1 = ap[1];
-        const float a2 = ap[2];
-        const float a3 = ap[3];
-        ap += kMr;
-        for (int jj = 0; jj < kNr; ++jj) {
-            const float bv = brow[jj];
-            acc[0][jj] += a0 * bv;
-            acc[1][jj] += a1 * bv;
-            acc[2][jj] += a2 * bv;
-            acc[3][jj] += a3 * bv;
-        }
-    }
-    write_tile(g, acc, i0, j0, kMr, kNr);
-}
-
-/// Edge tile (mr < kMr and/or nr < kNr). bp may be null (read B in place).
-void micro_edge(const GemmArgs& g, const float* ap, const float* bp, int i0,
-                int j0, int mr, int nr) {
-    float acc[kMr][kNr] = {};
-    for (int kk = 0; kk < g.k; ++kk) {
-        const float* brow = bp != nullptr
-                                ? bp + static_cast<std::int64_t>(kk) * kNr
-                                : g.b + static_cast<std::int64_t>(kk) * g.ldb + j0;
+        const float* brow = b + static_cast<std::int64_t>(kk) * b_stride;
         const float* av = ap + static_cast<std::int64_t>(kk) * kMr;
         for (int ii = 0; ii < mr; ++ii) {
             const float a = av[ii];
@@ -170,64 +155,62 @@ void micro_edge(const GemmArgs& g, const float* ap, const float* bp, int i0,
     write_tile(g, acc, i0, j0, mr, nr);
 }
 
-/// Packed kernel over a row range [row_begin, row_end) of C.
-void packed_rows(const GemmArgs& g, int row_begin, int row_end) {
-    if (row_begin >= row_end || g.n <= 0) return;
+/// C[i0:i0+mr, j0:j0+nr) through the dispatched tile (null on the scalar
+/// level: the reference loops above run).
+void tile(const GemmArgs& g, decltype(simd::KernelTable::gemm_micro_4x16) micro_simd,
+          const float* ap, const float* b, std::int64_t b_stride, int i0, int j0,
+          int mr, int nr) {
+    if (micro_simd != nullptr) {
+        micro_simd(ap, b, b_stride, g.k, g.alpha, g.beta,
+                   g.c + static_cast<std::int64_t>(i0) * g.ldc + j0, g.ldc, mr, nr);
+    } else if (mr == kMr && nr == kNr) {
+        micro_full(g, ap, b, b_stride, i0, j0);
+    } else {
+        micro_edge(g, ap, b, b_stride, i0, j0, mr, nr);
+    }
+}
+
+/// Packed kernel over the column range [col_begin, col_end) of C, all rows.
+void packed_cols(const GemmArgs& g, int col_begin, int col_end) {
+    if (col_begin >= col_end || g.m <= 0) return;
     if (g.k <= 0) {
         // Degenerate k: C = alpha*0 + beta*C, same expression as gemm_naive.
-        for (int i = row_begin; i < row_end; ++i) {
+        for (int i = 0; i < g.m; ++i) {
             float* crow = g.c + static_cast<std::int64_t>(i) * g.ldc;
-            for (int j = 0; j < g.n; ++j) crow[j] = g.alpha * 0.0f + g.beta * crow[j];
+            for (int j = col_begin; j < col_end; ++j) {
+                crow[j] = g.alpha * 0.0f + g.beta * crow[j];
+            }
         }
         return;
     }
-    // Fetched once per row range: null on the scalar level (the reference
-    // loops below stay the kernel), the FMA tile on AVX2. Edge tiles always
-    // take the scalar path — only full 4x16 tiles dispatch.
     const auto micro_simd = simd::kernels().gemm_micro_4x16;
-    float* ap = a_scratch(static_cast<std::size_t>(kMr) * std::max(1, g.k));
+    float* ap = a_scratch(static_cast<std::size_t>(kMr) * g.k);
     if (!g.trans_b) {
-        for (int i0 = row_begin; i0 < row_end; i0 += kMr) {
-            const int mr = std::min(kMr, row_end - i0);
-            pack_a(g, i0, mr, ap);
-            int j0 = 0;
-            if (mr == kMr) {
-                for (; j0 + kNr <= g.n; j0 += kNr) {
-                    if (micro_simd != nullptr) {
-                        micro_simd(ap, g.b + j0, g.ldb, g.k, g.alpha, g.beta,
-                                   g.c + static_cast<std::int64_t>(i0) * g.ldc + j0,
-                                   g.ldc);
-                    } else {
-                        micro_full_direct(g, ap, i0, j0);
-                    }
+        // Every row tile sweeps one kNc-column block of B while it is cache
+        // resident; A is repacked per block (~1/kNc of the multiply work).
+        for (int jb = col_begin; jb < col_end; jb += kNc) {
+            const int jb_end = std::min(jb + kNc, col_end);
+            for (int i0 = 0; i0 < g.m; i0 += kMr) {
+                const int mr = std::min(kMr, g.m - i0);
+                pack_a(g, i0, mr, ap);
+                for (int j0 = jb; j0 < jb_end; j0 += kNr) {
+                    tile(g, micro_simd, ap, g.b + j0, g.ldb, i0, j0, mr,
+                         std::min(kNr, jb_end - j0));
                 }
-            }
-            for (; j0 < g.n; j0 += kNr) {
-                micro_edge(g, ap, nullptr, i0, j0, mr, std::min(kNr, g.n - j0));
             }
         }
     } else {
         // op(B) columns are strided in memory; pack one k x kNr panel at a
-        // time and sweep the row range against it. A is repacked per panel —
+        // time and sweep every row tile against it. A is repacked per panel —
         // ~1/kNr of the multiply work, which the contiguous inner loop repays.
-        float* bp = b_scratch(static_cast<std::size_t>(kNr) * std::max(1, g.k));
-        for (int j0 = 0; j0 < g.n; j0 += kNr) {
-            const int nr = std::min(kNr, g.n - j0);
+        float* bp = b_scratch(static_cast<std::size_t>(kNr) * g.k);
+        for (int j0 = col_begin; j0 < col_end; j0 += kNr) {
+            const int nr = std::min(kNr, col_end - j0);
             pack_b(g, j0, nr, bp);
-            for (int i0 = row_begin; i0 < row_end; i0 += kMr) {
-                const int mr = std::min(kMr, row_end - i0);
+            for (int i0 = 0; i0 < g.m; i0 += kMr) {
+                const int mr = std::min(kMr, g.m - i0);
                 pack_a(g, i0, mr, ap);
-                if (mr == kMr && nr == kNr) {
-                    if (micro_simd != nullptr) {
-                        micro_simd(ap, bp, kNr, g.k, g.alpha, g.beta,
-                                   g.c + static_cast<std::int64_t>(i0) * g.ldc + j0,
-                                   g.ldc);
-                    } else {
-                        micro_full_packed(g, ap, bp, i0, j0);
-                    }
-                } else {
-                    micro_edge(g, ap, bp, i0, j0, mr, nr);
-                }
+                tile(g, micro_simd, ap, bp, kNr, i0, j0, mr, nr);
             }
         }
     }
@@ -249,21 +232,23 @@ void gemm_naive(const GemmArgs& g) {
 
 void gemm_blocked(const GemmArgs& g) {
     validate(g);
-    packed_rows(g, 0, g.m);
+    packed_cols(g, 0, g.n);
 }
 
 void gemm_threaded(const GemmArgs& g, int threads) {
     validate(g);
-    if (g.m <= 0) return;
+    if (g.n <= 0) return;
     threads = std::max(1, threads);
     const std::int64_t macs = static_cast<std::int64_t>(g.m) * g.n * g.k;
     if (threads == 1 || macs < kMinParallelMacs) {
-        packed_rows(g, 0, g.m);
+        packed_cols(g, 0, g.n);
         return;
     }
+    // Filter counts are small (m = 5-38 in DroNet) while n is the output
+    // plane, so shard columns, in whole kNr-column tiles.
     ThreadPool::instance().parallel_for(
-        0, g.m, threads, kMr,
-        [&g](int lo, int hi) { packed_rows(g, lo, hi); });
+        0, g.n, threads, kNr,
+        [&g](int lo, int hi) { packed_cols(g, lo, hi); });
 }
 
 void gemm(bool trans_a, bool trans_b, int m, int n, int k, float alpha,

@@ -8,13 +8,16 @@
 //   * gemm_blocked        - packed micro-kernel; the production kernel. Packs
 //                           A panels (and B panels when trans_b) into
 //                           thread-local scratch and runs a 4x16
-//                           register-tiled inner loop. Bit-exact with
+//                           register-tiled inner loop over 256-column blocks
+//                           of C. On the scalar level it is bit-exact with
 //                           gemm_naive: each C element accumulates over k in
 //                           the same order, so the results are identical
-//                           floats, not merely close.
-//   * gemm_threaded       - gemm_blocked sharded over row ranges on the
-//                           persistent ThreadPool (tensor/thread_pool.hpp).
-//                           No threads are created per call.
+//                           floats, not merely close. The AVX2 level fuses
+//                           each multiply-add (tolerance-gated, test_simd).
+//   * gemm_threaded       - gemm_blocked sharded over 16-column ranges of C
+//                           on the persistent ThreadPool
+//                           (tensor/thread_pool.hpp). No threads are created
+//                           per call.
 //
 // All kernels compute, for row-major matrices:
 //   C = alpha * op(A) * op(B) + beta * C
@@ -45,14 +48,16 @@ struct GemmArgs {
 /// Reference implementation; O(mnk) with no blocking. Ground truth in tests.
 void gemm_naive(const GemmArgs& args);
 
-/// Packed micro-kernel (the default used by the conv layers). Bit-exact with
-/// gemm_naive for identical inputs.
+/// Packed micro-kernel (the default used by the conv layers). On the scalar
+/// level bit-exact with gemm_naive for identical inputs; on every level a C
+/// element's value does not depend on m, n or where its tile falls.
 void gemm_blocked(const GemmArgs& args);
 
-/// gemm_blocked parallelized over row ranges of C with up to `threads` ways
-/// on the shared persistent ThreadPool. threads <= 1 runs the serial packed
-/// kernel. Results are bit-exact with gemm_naive regardless of thread count
-/// (each C row is computed by exactly one thread, in the same order).
+/// gemm_blocked parallelized over column ranges of C (whole 16-column tiles)
+/// with up to `threads` ways on the shared persistent ThreadPool.
+/// threads <= 1 runs the serial packed kernel. Results are bitwise equal to
+/// gemm_blocked regardless of thread count (each C element is computed by
+/// exactly one thread, in the same order).
 void gemm_threaded(const GemmArgs& args, int threads);
 
 /// Convenience wrapper matching darknet's historic signature. Dispatches to

@@ -138,6 +138,54 @@ INSTANTIATE_TEST_SUITE_P(
         GemmCase{8, 1024, 27, false, false, 1.0f, 0.0f},
         GemmCase{9, 31, 5, false, true, -0.5f, 2.0f}));
 
+// A C element's value depends only on its row of op(A), its column of op(B)
+// and k, at every dispatch level: never on m, n, the thread count or where
+// its 4x16 tile falls. With m = 5, row 4 is a one-row edge tile; with m = 8
+// it sits in a full tile. With n = 37, columns 32..36 are a column-edge
+// tile; with n = 48 they are full. The shared 5 x 37 block must be
+// memcmp-equal across all four shapes and across thread counts.
+TEST(Gemm, TilingInvariantAtEveryLevel) {
+    std::vector<simd::SimdLevel> levels = {simd::SimdLevel::kScalar};
+    if (simd::cpu_supports_avx2()) levels.push_back(simd::SimdLevel::kAvx2);
+    constexpr int kK = 96;  // m*n*k above the serial cutoff: 4 threads shard
+    constexpr int kRows = 5;
+    constexpr int kCols = 37;
+    Rng rng(57);
+    const auto a = random_matrix(rng, 8, kK);
+    const auto b = random_matrix(rng, kK, 48);     // K x N (!trans_b), ldb 48
+    const auto bt = random_matrix(rng, 48, kK);    // N x K (trans_b), ldb kK
+    for (const simd::SimdLevel level : levels) {
+        const simd::ScopedSimdLevel pin(level);
+        for (const bool tb : {false, true}) {
+            std::vector<float> shared;
+            for (const int m : {5, 8}) {
+                for (const int n : {37, 48}) {
+                    for (const int threads : {1, 4}) {
+                        std::vector<float> c(static_cast<std::size_t>(m) * n, 0.0f);
+                        gemm_threaded({false, tb, m, n, kK, 1.0f, a.data(), kK,
+                                       tb ? bt.data() : b.data(), tb ? kK : 48, 0.0f,
+                                       c.data(), n},
+                                      threads);
+                        std::vector<float> block;
+                        for (int i = 0; i < kRows; ++i) {
+                            const auto row = c.begin() + static_cast<std::ptrdiff_t>(i) * n;
+                            block.insert(block.end(), row, row + kCols);
+                        }
+                        if (shared.empty()) {
+                            shared = block;
+                            continue;
+                        }
+                        ASSERT_EQ(std::memcmp(shared.data(), block.data(),
+                                              block.size() * sizeof(float)), 0)
+                            << simd::to_string(level) << " trans_b=" << tb << " m=" << m
+                            << " n=" << n << " threads=" << threads;
+                    }
+                }
+            }
+        }
+    }
+}
+
 TEST(Gemm, IdentityMultiplication) {
     // I * B = B for a 3x3 identity.
     const std::vector<float> eye = {1, 0, 0, 0, 1, 0, 0, 0, 1};

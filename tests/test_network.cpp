@@ -139,6 +139,35 @@ TEST(Network, BackwardAccumulatesIntoEarlierLayers) {
     EXPECT_GT(grad_norm, 0.0f);
 }
 
+// Deltas, batch-norm caches and pool argmax are training memory: an
+// inference forward never sizes them, and backward() refuses to run on
+// anything but a training forward's state.
+TEST(Network, InferenceForwardAllocatesNoTrainingBuffers) {
+    Network net = tiny_detector();
+    net.region()->set_ground_truth({{GroundTruth{{0.5f, 0.5f, 0.3f, 0.3f}, 0}}});
+    Tensor in(net.input_shape());
+    Rng rng(19);
+    rng.fill_uniform(in.span(), 0.0f, 1.0f);
+    net.forward(in);
+    for (int i = 0; i < static_cast<int>(net.num_layers()); ++i) {
+        EXPECT_EQ(net.layer(i).delta().size(), 0) << "layer " << i;
+    }
+    EXPECT_THROW(net.backward(), std::logic_error);
+
+    net.forward(in, /*train=*/true);
+    for (int i = 0; i < static_cast<int>(net.num_layers()); ++i) {
+        EXPECT_EQ(net.layer(i).delta().shape(), net.layer(i).output_shape())
+            << "layer " << i;
+    }
+    EXPECT_NO_THROW(net.backward());
+
+    // The deltas stay allocated, but an inference forward in between still
+    // invalidates backward(): the outputs it reads are no longer the
+    // training forward's.
+    net.forward(in);
+    EXPECT_THROW(net.backward(), std::logic_error);
+}
+
 TEST(Network, FoldBatchnormKeepsEvalBehaviour) {
     Network net = tiny_detector();
     Rng rng(31);

@@ -1,10 +1,19 @@
-// MaxPool, Upsample and Route layers: geometry, values, backward routing.
+// MaxPool, Upsample and Route layers: geometry, values, backward routing, and
+// the 2x2/s2 max-pool row kernel's bit-exactness against the generic loop at
+// every SIMD level (this file carries the simd-kernels ctest label).
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
+#include <vector>
 
 #include "nn/cfg.hpp"
 #include "nn/network.hpp"
+#include "simd/dispatch.hpp"
+#include "simd/kernels.hpp"
 #include "tensor/rng.hpp"
 
 namespace dronet {
@@ -61,7 +70,7 @@ TEST(MaxPool, BackwardRoutesToArgmax) {
     auto& pool = net.add_maxpool({.size = 2, .stride = 2});
     Tensor in(1, 1, 4, 4);
     for (std::int64_t i = 0; i < 16; ++i) in[i] = static_cast<float>(i);
-    net.forward(in);
+    net.forward(in, /*train=*/true);
     pool.delta().fill(1.0f);
     Tensor in_delta(in.shape());
     pool.backward(in, &in_delta, net);
@@ -71,6 +80,90 @@ TEST(MaxPool, BackwardRoutesToArgmax) {
     EXPECT_FLOAT_EQ(in_delta[13], 1.0f);
     EXPECT_FLOAT_EQ(in_delta[15], 1.0f);
     EXPECT_FLOAT_EQ(in_delta[0], 0.0f);
+}
+
+// Values the 2x2/s2 row kernel must fold exactly like the generic loop's
+// `if (x > best) best = x` from -FLT_MAX: NaN never wins, -0.0 never
+// displaces an earlier +0.0 (nor +0.0 an earlier -0.0), -inf loses to
+// -FLT_MAX, +inf wins.
+std::vector<float> special_values(Rng& rng, std::size_t n) {
+    const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                              -std::numeric_limits<float>::quiet_NaN(),
+                              0.0f,
+                              -0.0f,
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              -FLT_MAX,
+                              FLT_MAX,
+                              std::numeric_limits<float>::denorm_min(),
+                              -1.5f};
+    std::vector<float> pick(n), v(n);
+    rng.fill_uniform(pick, 0.0f, 2.0f * std::size(specials));
+    rng.fill_uniform(v, -3.0f, 3.0f);
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto s = static_cast<std::size_t>(pick[i]);
+        if (s < std::size(specials)) v[i] = specials[s];  // about half specials
+    }
+    return v;
+}
+
+bool bitwise_equal(const float* a, const float* b, std::size_t n) {
+    return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+// The kernel entry itself, against the generic loop's fold, at both levels:
+// vector bodies and scalar tails (out_w straddling the 8-lane width).
+TEST(MaxPool, RowKernelBitwiseEqualToReferenceAtEveryLevel) {
+    std::vector<const simd::KernelTable*> tables = {simd::scalar_kernel_table()};
+    if (simd::cpu_supports_avx2()) tables.push_back(simd::avx2_kernel_table());
+    Rng rng(71);
+    for (const std::size_t out_w : {1u, 7u, 8u, 9u, 16u, 23u, 64u}) {
+        const std::vector<float> r0 = special_values(rng, 2 * out_w);
+        const std::vector<float> r1 = special_values(rng, 2 * out_w);
+        std::vector<float> ref(out_w);
+        for (std::size_t x = 0; x < out_w; ++x) {
+            float best = -FLT_MAX;
+            for (const float tap : {r0[2 * x], r0[2 * x + 1], r1[2 * x], r1[2 * x + 1]}) {
+                if (tap > best) best = tap;
+            }
+            ref[x] = best;
+        }
+        for (const simd::KernelTable* kt : tables) {
+            std::vector<float> got(out_w, 42.0f);
+            kt->maxpool2x2_row(r0.data(), r1.data(), out_w, got.data());
+            EXPECT_TRUE(bitwise_equal(ref.data(), got.data(), out_w))
+                << "out_w=" << out_w << (kt == tables.front() ? " scalar" : " avx2");
+        }
+    }
+}
+
+// Inference runs the 2x2/s2 interior through the row kernel; a training
+// forward runs the generic loop everywhere. Both must write the same bits at
+// every level, on odd and non-square planes (trailing row/column windows),
+// batch > 1, and with specials in the input.
+TEST(MaxPool, InferenceBitwiseEqualToTrainingLoopAtEveryLevel) {
+    std::vector<simd::SimdLevel> levels = {simd::SimdLevel::kScalar};
+    if (simd::cpu_supports_avx2()) levels.push_back(simd::SimdLevel::kAvx2);
+    const Shape shapes[] = {{1, 1, 2, 2}, {1, 3, 7, 10}, {2, 2, 9, 9},
+                            {1, 1, 6, 37}, {1, 2, 33, 18}, {1, 1, 1, 5}};
+    Rng rng(73);
+    for (const Shape& s : shapes) {
+        Network net(cfg(s.c, s.h, s.w, s.n));
+        auto& pool = net.add_maxpool({.size = 2, .stride = 2});
+        Tensor in(s);
+        const std::vector<float> v = special_values(rng, static_cast<std::size_t>(s.size()));
+        std::copy(v.begin(), v.end(), in.data());
+        for (const simd::SimdLevel level : levels) {
+            const simd::ScopedSimdLevel pin(level);
+            net.forward(in, /*train=*/true);
+            const Tensor loop = pool.output();
+            net.forward(in, /*train=*/false);
+            ASSERT_EQ(loop.shape(), pool.output().shape());
+            EXPECT_TRUE(bitwise_equal(loop.data(), pool.output().data(),
+                                      static_cast<std::size_t>(loop.size())))
+                << s.str() << " at " << simd::to_string(level);
+        }
+    }
 }
 
 TEST(MaxPool, RejectsBadConfig) {
@@ -93,7 +186,7 @@ TEST(Upsample, BackwardSumsWindow) {
     Network net(cfg(1, 2, 2));
     auto& up = net.add_upsample(2);
     Tensor in(1, 1, 2, 2);
-    net.forward(in);
+    net.forward(in, /*train=*/true);
     up.delta().fill(1.0f);
     Tensor in_delta(in.shape());
     up.backward(in, &in_delta, net);
@@ -127,7 +220,7 @@ TEST(Route, BackwardScattersToSources) {
                   .activation = Activation::kLinear});
     auto& route = net.add_route({0});
     Tensor in(net.input_shape());
-    net.forward(in);
+    net.forward(in, /*train=*/true);
     route.delta().fill(2.0f);
     net.layer(0).delta().zero();
     route.backward(net.layer(0).output(), &net.layer(0).delta(), net);
@@ -167,7 +260,7 @@ TEST(AvgPool, BackwardSpreadsEvenly) {
     Network net(cfg(1, 2, 2));
     auto& avg = net.add_avgpool();
     Tensor in(1, 1, 2, 2);
-    net.forward(in);
+    net.forward(in, /*train=*/true);
     avg.delta()[0] = 4.0f;
     Tensor in_delta(in.shape());
     avg.backward(in, &in_delta, net);

@@ -9,9 +9,15 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "data/dataset.hpp"
 #include "models/model_zoo.hpp"
@@ -19,6 +25,7 @@
 #include "serve/bounded_queue.hpp"
 #include "serve/detection_service.hpp"
 #include "serve/serve_stats.hpp"
+#include "tensor/gemm.hpp"
 #include "video/pipeline.hpp"
 
 namespace dronet {
@@ -525,6 +532,64 @@ TEST(DetectionService, RejectsInvalidBatchConfig) {
     sc.batch_timeout_us = -1;
     EXPECT_THROW(DetectionService(net, sc), std::invalid_argument);
 }
+
+TEST(WorkerCpuShare, GivesEachWorkerDisjointCpus) {
+    const std::vector<int> four = {0, 1, 2, 3};
+    EXPECT_EQ(serve::worker_cpu_share(four, 0, 2), (std::vector<int>{0, 2}));
+    EXPECT_EQ(serve::worker_cpu_share(four, 1, 2), (std::vector<int>{1, 3}));
+    const std::vector<int> sparse = {0, 2, 5, 7, 9, 11, 12};
+    EXPECT_EQ(serve::worker_cpu_share(sparse, 0, 3), (std::vector<int>{0, 7, 12}));
+    EXPECT_EQ(serve::worker_cpu_share(sparse, 1, 3), (std::vector<int>{2, 9}));
+    EXPECT_EQ(serve::worker_cpu_share(sparse, 2, 3), (std::vector<int>{5, 11}));
+    // Unconfined: one worker, or fewer than two CPUs per worker.
+    EXPECT_TRUE(serve::worker_cpu_share(four, 0, 1).empty());
+    EXPECT_TRUE(serve::worker_cpu_share(four, 0, 3).empty());
+    EXPECT_TRUE(serve::worker_cpu_share({}, 0, 2).empty());
+}
+
+#ifdef __linux__
+std::vector<int> thread_ids() {
+    std::vector<int> tids;
+    for (const auto& e : std::filesystem::directory_iterator("/proc/self/task")) {
+        tids.push_back(std::stoi(e.path().filename().string()));
+    }
+    return tids;
+}
+
+TEST(DetectionService, WorkersRunOnDisjointCpus) {
+    cpu_set_t process;
+    CPU_ZERO(&process);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(process), &process), 0);
+    if (CPU_COUNT(&process) < 4) GTEST_SKIP() << "needs at least 4 CPUs";
+    if (gemm_threads() > 1) GTEST_SKIP() << "pool-threaded workers stay unconfined";
+    const std::vector<int> before = thread_ids();
+    Network net = build_model(ModelId::kDroNet, {.input_size = 96, .filter_scale = 0.35f});
+    serve::ServiceConfig sc;
+    sc.workers = 2;
+    DetectionService service(net, sc);
+
+    // The workers confine themselves when they start; wait for both.
+    std::vector<cpu_set_t> confined;
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (confined.size() < 2 && std::chrono::steady_clock::now() < deadline) {
+        confined.clear();
+        for (const int tid : thread_ids()) {
+            if (std::find(before.begin(), before.end(), tid) != before.end()) continue;
+            cpu_set_t mask;
+            CPU_ZERO(&mask);
+            if (sched_getaffinity(tid, sizeof(mask), &mask) != 0) continue;
+            if (!CPU_EQUAL(&mask, &process)) confined.push_back(mask);
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_EQ(confined.size(), 2u);
+    cpu_set_t both;
+    CPU_AND(&both, &confined[0], &confined[1]);
+    EXPECT_EQ(CPU_COUNT(&both), 0);
+    EXPECT_GE(CPU_COUNT(&confined[0]), 2);
+    EXPECT_GE(CPU_COUNT(&confined[1]), 2);
+}
+#endif
 
 TEST(ServeStats, BatchHistogramAccounting) {
     serve::ServeStats stats;

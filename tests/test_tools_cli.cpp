@@ -5,8 +5,8 @@
 // --help itself exits 0). This is what keeps kUsage and the parser from
 // drifting apart — adding a flag without documenting it, or deleting a flag
 // from the parser but not from the help text, fails here. End-to-end runs
-// pin tool behaviour that only shows in the output (detect --profile) and
-// the serve_bench fleet driver.
+// pin tool behaviour that only shows in the output (detect --profile, where
+// detect writes its annotated images) and the serve_bench fleet driver.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -170,6 +170,31 @@ TEST(ToolsCli, DetectInt8ProfileShowsTheInt8Forward) {
     }
     EXPECT_EQ(conv_rows, 9) << r.output;  // DroNet's 9 convolutions
     fs::remove_all(dir);
+}
+
+TEST(ToolsCli, DetectWritesAnnotatedImageBesideItsInput) {
+    // Run from a different working directory: the annotated copy belongs
+    // next to the image it annotates, and the working directory stays empty.
+    namespace fs = std::filesystem;
+    const fs::path root = fs::temp_directory_path() / "dronet_detect_output_path";
+    const fs::path in_dir = root / "in";
+    const fs::path cwd = root / "cwd";
+    fs::remove_all(root);
+    fs::create_directories(in_dir);
+    fs::create_directories(cwd);
+    const dronet::DetectionDataset frames =
+        dronet::generate_dataset(dronet::benchmark_scene_config(96), 1, /*seed=*/0x12);
+    const fs::path frame = in_dir / "frame.ppm";
+    dronet::write_ppm(frames.image(0), frame);
+    const ToolRun r = run_tool("cd " + cwd.string() + " && " + DRONET_DETECT_PATH +
+                               " --size 96 " + frame.string() + " 2>&1");
+    ASSERT_EQ(r.exit_code, 0) << r.output;
+    const fs::path annotated = in_dir / "frame_detections.ppm";
+    EXPECT_TRUE(fs::exists(annotated)) << r.output;
+    EXPECT_NE(r.output.find("annotated image -> " + annotated.string()), std::string::npos)
+        << r.output;
+    EXPECT_TRUE(fs::is_empty(cwd)) << r.output;
+    fs::remove_all(root);
 }
 
 // serve_bench --cluster end to end: real Router + spawned serve_worker

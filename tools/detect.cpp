@@ -1,5 +1,6 @@
 // detect — command-line detector: runs a model over PPM images and writes
-// annotated copies plus darknet-format detection text.
+// annotated copies (<stem>_detections.ppm beside each input) plus
+// darknet-format detection text.
 //
 // Usage:
 //   detect [--model DroNet] [--size 512] [--weights FILE] [--cfg FILE]
@@ -140,10 +141,11 @@ int run(int argc, char** argv) {
                 std::printf("  class %d  score %.3f  box %.4f %.4f %.4f %.4f\n",
                             d.class_id, d.score(), d.box.x, d.box.y, d.box.w, d.box.h);
             }
-            const std::string out =
-                std::filesystem::path(path).stem().string() + "_detections.ppm";
+            // Beside the input, whatever the working directory.
+            std::filesystem::path out(path);
+            out.replace_filename(out.stem().string() + "_detections.ppm");
             write_ppm(draw_detections(chunk[i], dets), out);
-            std::printf("  annotated image -> %s\n", out.c_str());
+            std::printf("  annotated image -> %s\n", out.string().c_str());
         }
     }
     if (profile::profiling_enabled() && net.profiler() != nullptr) {
